@@ -71,11 +71,7 @@ def _rank_via_contract(error: str, grams: list[str], backend, k: int):
     group, so they are fetched just for the groups that can reach the
     top k; over HTTP that keeps the request count near k.
     """
-    shared: dict[str, int] = {}
-    for gram in grams:
-        for word in backend.unigrams_containing_bigram(gram):
-            shared[word] = shared.get(word, 0) + 1
-    shared.pop(error, None)
+    shared = _shared_bigram_counts(grams, backend, exclude=error)
     if not shared:
         return []
     groups: dict[int, list[str]] = defaultdict(list)
@@ -98,9 +94,17 @@ def _rank_via_contract(error: str, grams: list[str], backend, k: int):
 def words_sharing_bigrams(token: str, backend, min_shared: int) -> list[str]:
     """All vocabulary words (sorted) sharing >= min_shared distinct
     character bigrams with `token`, excluding the token itself."""
+    shared = _shared_bigram_counts(char_bigrams(token), backend, exclude=token)
+    return sorted(w for w, n in shared.items() if n >= min_shared)
+
+
+def _shared_bigram_counts(grams: list[str], backend,
+                          exclude: str) -> dict[str, int]:
+    """For every vocabulary word containing one of the distinct bigrams
+    `grams`, how many of them it contains; `exclude` is left out."""
     shared: dict[str, int] = {}
-    for gram in char_bigrams(token):
+    for gram in grams:
         for word in backend.unigrams_containing_bigram(gram):
             shared[word] = shared.get(word, 0) + 1
-    shared.pop(token, None)
-    return sorted(w for w, n in shared.items() if n >= min_shared)
+    shared.pop(exclude, None)
+    return shared

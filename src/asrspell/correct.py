@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from asrspell.candidates import CandidateSet, generate_candidates
 from asrspell.detect import (DetectedError, ErrorKind, Transcript,
                              detect_nonword_errors, detect_realword_suspects,
-                             tokenize)
+                             splice, tokenize)
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def correct_transcript(text: str, backend,
             key=lambda e: e.position)
 
     decisions: list[CorrectionDecision] = []
-    replacements: list[tuple[tuple[int, int], str]] = []
+    replacements: list[tuple[int, str]] = []
     for error in errors:
         cands = generate_candidates(error.token, backend, k=config.top_k)
         queries = build_context_queries(
@@ -147,18 +147,6 @@ def correct_transcript(text: str, backend,
         decision.candidates = cands
         decisions.append(decision)
         if decision.chosen is not None and decision.chosen != error.token:
-            replacements.append((transcript.spans[error.position],
-                                 decision.chosen))
-
-    if not replacements:
-        return CorrectionResult(corrected_text=text, decisions=decisions)
-    parts = []
-    cursor = 0
-    for (start, stop), word in replacements:
-        parts.append(text[cursor:start])
-        if text[start].isupper():
-            word = word[:1].upper() + word[1:]
-        parts.append(word)
-        cursor = stop
-    parts.append(text[cursor:])
-    return CorrectionResult(corrected_text="".join(parts), decisions=decisions)
+            replacements.append((error.position, decision.chosen))
+    return CorrectionResult(corrected_text=splice(transcript, replacements),
+                            decisions=decisions)

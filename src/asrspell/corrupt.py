@@ -18,7 +18,7 @@ from pathlib import Path
 from random import Random
 
 from asrspell.candidates import words_sharing_bigrams
-from asrspell.detect import tokenize
+from asrspell.detect import splice, tokenize
 from asrspell.store import normalize_token
 
 log = logging.getLogger(__name__)
@@ -78,7 +78,7 @@ def inject_errors(text: str, backend, spec: CorruptionSpec) -> InjectionResult:
     transcript = tokenize(text)
     rng = Random(spec.seed)
     records: list[CorruptionRecord] = []
-    replacements: list[tuple[tuple[int, int], str]] = []
+    replacements: list[tuple[int, str]] = []
     for i, token in enumerate(transcript.tokens):
         draw = rng.random()
         if draw < spec.nonword_rate:
@@ -100,20 +100,9 @@ def inject_errors(text: str, backend, spec: CorruptionSpec) -> InjectionResult:
                       token, i, kind.value)
             continue
         records.append(CorruptionRecord(i, token, corrupted, kind))
-        replacements.append((transcript.spans[i], corrupted))
-
-    if not replacements:
-        return InjectionResult(corrupted_text=text, records=records)
-    parts = []
-    cursor = 0
-    for (start, stop), word in replacements:
-        parts.append(text[cursor:start])
-        if text[start].isupper():
-            word = word[:1].upper() + word[1:]
-        parts.append(word)
-        cursor = stop
-    parts.append(text[cursor:])
-    return InjectionResult(corrupted_text="".join(parts), records=records)
+        replacements.append((i, corrupted))
+    return InjectionResult(corrupted_text=splice(transcript, replacements),
+                           records=records)
 
 
 def _nonword_edit(token: str, backend, rng: Random) -> str | None:

@@ -69,6 +69,27 @@ def tokenize(text: str) -> Transcript:
     return Transcript(raw=text, tokens=tokens, spans=spans)
 
 
+def splice(transcript: Transcript, replacements: list[tuple[int, str]]) -> str:
+    """The raw text with each ``(position, word)`` token replaced.
+
+    Positions must be ascending. Only the token's span is rewritten, so
+    surrounding punctuation survives, and a word replacing a token that
+    starts with a capital gets a leading capital too.
+    """
+    text = transcript.raw
+    parts = []
+    cursor = 0
+    for position, word in replacements:
+        start, stop = transcript.spans[position]
+        parts.append(text[cursor:start])
+        if text[start].isupper():
+            word = word[:1].upper() + word[1:]
+        parts.append(word)
+        cursor = stop
+    parts.append(text[cursor:])
+    return "".join(parts)
+
+
 def _exempt(token: str) -> bool:
     # Numerals and codes are not dictionary words; flagging them would be
     # noise the index vocabulary cannot arbitrate.

@@ -38,12 +38,24 @@ class EvaluationReport:
                    residual_error_rate=residual)
 
     def check(self) -> None:
-        """Cross-field identities; raises AssertionError when violated."""
-        assert self.total_errors == self.nonword_errors + self.realword_errors
-        assert self.corrected == self.corrected_nonword + self.corrected_realword
+        """Cross-field identities; raises ValueError when violated."""
+        if self.total_errors != self.nonword_errors + self.realword_errors:
+            raise ValueError(
+                f"total_errors {self.total_errors} != nonword_errors "
+                f"{self.nonword_errors} + realword_errors "
+                f"{self.realword_errors}")
+        if self.corrected != self.corrected_nonword + self.corrected_realword:
+            raise ValueError(
+                f"corrected {self.corrected} != corrected_nonword "
+                f"{self.corrected_nonword} + corrected_realword "
+                f"{self.corrected_realword}")
         if self.total_words:
             expected = (self.total_errors - self.corrected) / self.total_words
-            assert abs(self.residual_error_rate - expected) < 1e-12
+            if not abs(self.residual_error_rate - expected) < 1e-12:  # NaN too
+                raise ValueError(
+                    f"residual_error_rate {self.residual_error_rate!r} != "
+                    f"(total_errors - corrected) / total_words = "
+                    f"{expected!r}")
 
     def to_tsv(self) -> str:
         lines = []

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from asrspell import kernels
 from asrspell.candidates import Candidate, char_bigrams
 
 NORMALIZATION_VERSION = "1"
@@ -138,16 +139,14 @@ class NgramIndex:
         """Top-k vocabulary words by distinct shared character bigrams.
 
         Fast path used by the candidate generator when it talks to a local
-        index; routed through the compiled kernel when available.
+        index; the ranking itself runs in :mod:`asrspell.kernels`.
         """
-        from asrspell import kernels
-
         arrays = [self._postings[g] for g in bigrams if g in self._postings]
         if not arrays:
             return []
         exclude_id = self._word_id.get(exclude, -1) if exclude else -1
         pairs = kernels.rank_shared_candidates(
-            arrays, self._uni_counts, len(self._words), exclude_id, k)
+            arrays, self._uni_counts, exclude_id, k)
         return [
             Candidate(word=self._words[wid], shared=shared,
                       unigram_count=int(self._uni_counts[wid]))
@@ -189,7 +188,9 @@ def build_index(corpus: str | Iterable[str], max_order: int = 5,
             tables[k - 1].update(
                 " ".join(tokens[i:i + k])
                 for i in range(len(tokens) - k + 1))
-    return NgramIndex([dict(t) for t in tables], corpus_id, token_count)
+    # The Counters go in as they are: copying them to plain dicts would
+    # briefly hold every table twice.
+    return NgramIndex(tables, corpus_id, token_count)
 
 
 def save_index(index: NgramIndex, path: str | os.PathLike) -> None:

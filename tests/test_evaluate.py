@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from asrspell import (CorruptionKind, CorruptionRecord, CorruptionSpec,
@@ -23,6 +28,22 @@ class TestReportArithmetic:
         report = EvaluationReport.from_counts(0, 0, 0, 0, 0)
         assert report.residual_error_rate == 0.0
         report.check()
+
+    def test_inconsistent_report_rejected(self):
+        # Must raise even under -O, where assert statements are stripped.
+        fields = dict(total_words=100, total_errors=5, nonword_errors=2,
+                      realword_errors=2, corrected=4, corrected_nonword=2,
+                      corrected_realword=2, residual_error_rate=0.01)
+        with pytest.raises(ValueError, match="total_errors"):
+            EvaluationReport(**fields).check()
+        code = ("from asrspell import EvaluationReport\n"
+                f"EvaluationReport(**{fields!r}).check()\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "ValueError: total_errors" in proc.stderr
 
     def test_tsv_deterministic(self):
         a = EvaluationReport.from_counts(100, 10, 0, 9, 0)
