@@ -1,5 +1,7 @@
 """Lookup backend contract shared by the local index and the HTTP client."""
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
+
+from asrspell.candidates import Candidate
 
 
 class BackendError(RuntimeError):
@@ -14,7 +16,14 @@ class BackendError(RuntimeError):
 class Backend(Protocol):
     """What the detector, candidate generator and corrector need from a
     lookup source. ``NgramIndex`` satisfies it directly; ``RemoteBackend``
-    satisfies it over HTTP."""
+    satisfies it over HTTP, with every answer equal to the local one.
+
+    ``rank_by_shared_bigrams`` returns the top ``k`` vocabulary words by
+    number of the distinct character ``bigrams`` they contain, then corpus
+    frequency, then word, leaving out ``exclude``; the candidate generator
+    calls it once per error word. ``unigrams_containing_bigram`` is the
+    sorted postings list of one bigram (capped at 1000 words over HTTP).
+    """
 
     @property
     def max_order(self) -> int: ...
@@ -24,3 +33,7 @@ class Backend(Protocol):
     def ngram_count(self, tokens: Sequence[str]) -> int: ...
 
     def unigrams_containing_bigram(self, bigram: str) -> list[str]: ...
+
+    def rank_by_shared_bigrams(self, bigrams: Iterable[str], k: int,
+                               exclude: str | None = None
+                               ) -> list[Candidate]: ...

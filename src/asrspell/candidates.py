@@ -6,7 +6,6 @@ how many distinct pairs it shares, and the top k (default 8) survive.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -58,53 +57,17 @@ def generate_candidates(error: str, backend, k: int = 8) -> CandidateSet:
     grams = char_bigrams(error)
     if not grams:
         return CandidateSet(error)
-    fast = getattr(backend, "rank_by_shared_bigrams", None)
-    if fast is not None:
-        return CandidateSet(error, fast(grams, k=k, exclude=error))
-    return CandidateSet(error, _rank_via_contract(error, grams, backend, k))
-
-
-def _rank_via_contract(error: str, grams: list[str], backend, k: int):
-    """Portable ranking path for backends without local postings arrays.
-
-    Unigram counts are only needed to order words inside one shared-count
-    group, so they are fetched just for the groups that can reach the
-    top k; over HTTP that keeps the request count near k.
-    """
-    shared = _shared_bigram_counts(grams, backend, exclude=error)
-    if not shared:
-        return []
-    groups: dict[int, list[str]] = defaultdict(list)
-    for word, count in shared.items():
-        groups[count].append(word)
-    pool: list[tuple[str, int]] = []
-    for count in sorted(groups, reverse=True):
-        pool.extend((word, count) for word in groups[count])
-        if len(pool) >= k:
-            break
-    ranked = [
-        Candidate(word=word, shared=count,
-                  unigram_count=backend.ngram_count([word]))
-        for word, count in pool
-    ]
-    ranked.sort(key=Candidate.sort_key)
-    return ranked[:k]
+    return CandidateSet(error,
+                        backend.rank_by_shared_bigrams(grams, k=k,
+                                                       exclude=error))
 
 
 def words_sharing_bigrams(token: str, backend, min_shared: int) -> list[str]:
     """All vocabulary words (sorted) sharing >= min_shared distinct
     character bigrams with `token`, excluding the token itself."""
-    shared = _shared_bigram_counts(char_bigrams(token), backend, exclude=token)
-    return sorted(w for w, n in shared.items() if n >= min_shared)
-
-
-def _shared_bigram_counts(grams: list[str], backend,
-                          exclude: str) -> dict[str, int]:
-    """For every vocabulary word containing one of the distinct bigrams
-    `grams`, how many of them it contains; `exclude` is left out."""
     shared: dict[str, int] = {}
-    for gram in grams:
+    for gram in char_bigrams(token):
         for word in backend.unigrams_containing_bigram(gram):
             shared[word] = shared.get(word, 0) + 1
-    shared.pop(exclude, None)
-    return shared
+    shared.pop(token, None)
+    return sorted(w for w, n in shared.items() if n >= min_shared)

@@ -98,13 +98,21 @@ def cmd_build_index(args) -> int:
 
 
 def _open_backend(args):
-    if getattr(args, "backend", None):
+    if args.backend:
         return RemoteBackend(args.backend)
     return load_index(args.index)
 
 
 def cmd_correct(args) -> int:
     backend = _open_backend(args)
+    try:
+        return _correct(args, backend)
+    finally:
+        if args.backend:
+            backend.close()
+
+
+def _correct(args, backend) -> int:
     config = PipelineConfig(
         top_k=args.top_k,
         # ngram queries above the index's max order are errors, so the

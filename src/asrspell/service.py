@@ -1,33 +1,45 @@
 """Minimal HTTP lookup service over an index, plus the matching client.
 
-Protocol (HTTP/1.1, UTF-8, plain text bodies, no auth):
+Protocol (HTTP/1.1 with keep-alive, UTF-8, plain text bodies, no auth):
 
     GET /v1/unigram?q=<token>                  -> count as decimal text
     GET /v1/ngram?q=<tokens, '+'-separated>    -> count (1..5 tokens)
     GET /v1/postings?q=<2 chars>               -> newline-separated words,
                                                   capped at 1000
+    GET /v1/candidates?b=<2 chars>&b=...&k=<k>[&exclude=<word>]
+                                               -> top-k words by shared
+                                                  bigrams, one
+                                                  word<TAB>shared<TAB>count
+                                                  line each
     GET /v1/manifest                           -> manifest TSV
 
 Malformed queries get 400 with a one-line reason. Counts are raw corpus
 occurrences; a zero body means "not seen", never "server trouble" (faults
-surface as HTTP errors, which the client raises as BackendError).
+surface as HTTP errors, which the client raises as BackendError). The
+1000-word cap applies to /v1/postings only: /v1/candidates ranks the whole
+vocabulary on the server, exactly as a local index does.
+
+Connections are kept open between requests; the server closes one after
+IDLE_TIMEOUT_S seconds without a request.
 """
 from __future__ import annotations
 
+import http.client
 import logging
-import urllib.error
+import threading
 import urllib.parse
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from asrspell.backend import BackendError
+from asrspell.candidates import Candidate
 from asrspell.store import NgramIndex
 
 log = logging.getLogger(__name__)
 
 POSTINGS_CAP = 1000
 PROTOCOL_MAX_ORDER = 5
+IDLE_TIMEOUT_S = 30
 
 
 def serve(index: NgramIndex, bind_address: str = "127.0.0.1",
@@ -48,6 +60,12 @@ def serve(index: NgramIndex, bind_address: str = "127.0.0.1",
 
 def _make_handler(index: NgramIndex):
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        # Headers and body go out in two sends; with Nagle's algorithm the
+        # second waits for the client's delayed ACK, about 40 ms a request.
+        disable_nagle_algorithm = True
+        timeout = IDLE_TIMEOUT_S
+
         def do_GET(self):
             url = urllib.parse.urlparse(self.path)
             try:
@@ -64,6 +82,7 @@ def _make_handler(index: NgramIndex):
                 "/v1/unigram": self._unigram,
                 "/v1/ngram": self._ngram,
                 "/v1/postings": self._postings,
+                "/v1/candidates": self._candidates,
                 "/v1/manifest": self._manifest,
             }[url.path]
             return route(url.query)
@@ -92,6 +111,27 @@ def _make_handler(index: NgramIndex):
             words = index.unigrams_containing_bigram(bigram)[:POSTINGS_CAP]
             return "".join(w + "\n" for w in words)
 
+        def _candidates(self, query: str) -> str:
+            params = urllib.parse.parse_qs(query, keep_blank_values=True)
+            bigrams = params.get("b", [])
+            if any(len(b) != 2 for b in bigrams):
+                raise _BadRequest("each b must be exactly 2 characters")
+            k = params.get("k", [])
+            if len(k) != 1:
+                raise _BadRequest("exactly one k parameter required")
+            try:
+                top_k = int(k[0])
+            except ValueError:
+                raise _BadRequest("k must be an integer") from None
+            if top_k < 1:
+                raise _BadRequest("k must be >= 1")
+            exclude = params.get("exclude", [None])
+            if len(exclude) != 1:
+                raise _BadRequest("at most one exclude parameter allowed")
+            ranked = index.rank_by_shared_bigrams(bigrams, top_k, exclude[0])
+            return "".join(f"{c.word}\t{c.shared}\t{c.unigram_count}\n"
+                           for c in ranked)
+
         def _manifest(self, query: str) -> str:
             return index.manifest.to_tsv()
 
@@ -104,7 +144,7 @@ def _make_handler(index: NgramIndex):
             self.wfile.write(data)
 
         def log_message(self, fmt, *args):
-            log.debug("%s %s", self.address_string(), fmt % args)
+            log.debug("%s " + fmt, self.address_string(), *args)
 
     return Handler
 
@@ -124,14 +164,27 @@ def _single_param(query: str) -> str:
 class RemoteBackend:
     """Backend-contract client for a served index.
 
-    Results are identical to querying the index locally (postings are the
-    one exception: the service caps them at 1000 words). Network faults
-    raise BackendError; they are never folded into a zero count.
+    Every lookup, candidate ranking included, returns what the index would
+    return locally: ranking runs on the server over the whole vocabulary.
+    Only ``unigrams_containing_bigram`` is capped, at 1000 words. Each
+    thread keeps one persistent connection. Network faults raise
+    BackendError; they are never folded into a zero count.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self._base = base_url.rstrip("/")
+        url = urllib.parse.urlsplit(self._base)
+        if url.scheme == "https":
+            self._connection_class = http.client.HTTPSConnection
+        elif url.scheme == "http":
+            self._connection_class = http.client.HTTPConnection
+        else:
+            raise ValueError(f"backend URL must be http:// or https://, "
+                             f"got {base_url!r}")
+        self._netloc = url.netloc
+        self._path = url.path
         self._timeout = timeout
+        self._local = threading.local()
         self._max_order: int | None = None
 
     @property
@@ -155,7 +208,7 @@ class RemoteBackend:
         if not 1 <= n <= self.max_order:
             raise ValueError(f"query order {n} outside 1..{self.max_order}")
         endpoint = "/v1/unigram" if n == 1 else "/v1/ngram"
-        body = self._get(endpoint, q=" ".join(tokens))
+        body = self._get(endpoint, [("q", " ".join(tokens))])
         try:
             return int(body.strip())
         except ValueError:
@@ -166,22 +219,71 @@ class RemoteBackend:
         if len(bigram) != 2:
             raise ValueError(f"character bigram must have length 2, "
                              f"got {bigram!r}")
-        body = self._get("/v1/postings", q=bigram)
+        body = self._get("/v1/postings", [("q", bigram)])
         return [line for line in body.split("\n") if line]
 
-    def _get(self, path: str, **params) -> str:
-        url = self._base + path
-        if params:
-            url += "?" + urllib.parse.urlencode(params)
+    def rank_by_shared_bigrams(self, bigrams: Iterable[str], k: int,
+                               exclude: str | None = None) -> list[Candidate]:
+        params = [("b", gram) for gram in bigrams] + [("k", k)]
+        if exclude:
+            params.append(("exclude", exclude))
+        body = self._get("/v1/candidates", params)
         try:
-            with urllib.request.urlopen(url, timeout=self._timeout) as resp:
-                return resp.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            reason = exc.read().decode("utf-8", "replace").strip()
-            if exc.code == 400:
-                # The service rejected the query itself; mirror the local
-                # precondition failure rather than a transport fault.
-                raise ValueError(f"rejected query: {reason}") from exc
-            raise BackendError(f"{url}: HTTP {exc.code}: {reason}") from exc
-        except OSError as exc:
-            raise BackendError(f"{url}: {exc}") from exc
+            return [Candidate(word=word, shared=int(shared),
+                              unigram_count=int(count))
+                    for word, shared, count in
+                    (line.split("\t") for line in body.splitlines())]
+        except ValueError:
+            raise BackendError(
+                f"{self._base}/v1/candidates: malformed reply {body!r}")
+
+    def close(self) -> None:
+        """Close the calling thread's connection; its next lookup opens a
+        new one. Other threads' connections close when their threads end."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
+
+    def _get(self, path: str,
+             params: Sequence[tuple[str, object]] = ()) -> str:
+        target = self._path + path
+        if params:
+            target += "?" + urllib.parse.urlencode(params)
+        try:
+            status, data = self._request(target)
+        except (OSError, http.client.HTTPException) as exc:
+            raise BackendError(f"{self._base}{path}: {exc!r}") from exc
+        if status == 200:
+            try:
+                return data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise BackendError(f"{self._base}{path}: {exc}") from exc
+        reason = data.decode("utf-8", "replace").strip()
+        if status == 400:
+            # The service rejected the query itself; mirror the local
+            # precondition failure rather than a transport fault.
+            raise ValueError(f"rejected query: {reason}")
+        raise BackendError(f"{self._base}{path}: HTTP {status}: {reason}")
+
+    def _request(self, target: str) -> tuple[int, bytes]:
+        """One GET on this thread's connection. A kept connection the
+        server has meanwhile closed is retried once on a fresh one; GETs
+        are idempotent, so a repeat is safe."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connection_class(
+                self._netloc, timeout=self._timeout)
+        while True:
+            reused = conn.sock is not None
+            try:
+                conn.request("GET", target)
+                with conn.getresponse() as resp:
+                    return resp.status, resp.read()
+            except (http.client.RemoteDisconnected, ConnectionResetError,
+                    BrokenPipeError):
+                conn.close()
+                if not reused:
+                    raise
+            except BaseException:
+                conn.close()
+                raise

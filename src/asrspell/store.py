@@ -138,8 +138,8 @@ class NgramIndex:
                                exclude: str | None = None) -> list[Candidate]:
         """Top-k vocabulary words by distinct shared character bigrams.
 
-        Fast path used by the candidate generator when it talks to a local
-        index; the ranking itself runs in :mod:`asrspell.kernels`.
+        The backend-contract method the candidate generator calls once
+        per error word; the ranking itself runs in :mod:`asrspell.kernels`.
         """
         arrays = [self._postings[g] for g in bigrams if g in self._postings]
         if not arrays:

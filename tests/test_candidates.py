@@ -122,47 +122,6 @@ class TestGenerateCandidates:
                 assert got == brute_force_candidates(error, index, k)
 
 
-class _ContractOnly:
-    """Wraps an index exposing only the generic backend surface, to force
-    the portable ranking path used with remote backends."""
-
-    def __init__(self, index):
-        self._index = index
-        self.max_order = index.max_order
-
-    def unigram_exists(self, token):
-        return self._index.unigram_exists(token)
-
-    def ngram_count(self, tokens):
-        return self._index.ngram_count(tokens)
-
-    def unigrams_containing_bigram(self, bigram):
-        return self._index.unigrams_containing_bigram(bigram)
-
-
-class TestPortablePath:
-    def test_matches_fast_path(self, worked_index):
-        wrapped = _ContractOnly(worked_index)
-        for error in ["shaws", "shws", "qqqq", "hawss", "sh"]:
-            for k in [1, 4, 8, 50]:
-                assert generate_candidates(error, wrapped, k=k).ranked == \
-                    generate_candidates(error, worked_index, k=k).ranked
-
-    def test_matches_fast_path_random(self):
-        rng = random.Random(41)
-        letters = "abcdef"
-        vocab = {"".join(rng.choice(letters)
-                         for _ in range(rng.randint(2, 7)))
-                 for _ in range(150)}
-        index = build_index(" ".join(sorted(vocab)))
-        wrapped = _ContractOnly(index)
-        for _ in range(40):
-            error = "".join(rng.choice(letters)
-                            for _ in range(rng.randint(2, 7)))
-            assert generate_candidates(error, wrapped, k=8).ranked == \
-                generate_candidates(error, index, k=8).ranked
-
-
 def test_words_sharing_bigrams(worked_index):
     partners = words_sharing_bigrams("shaws", worked_index, 2)
     assert partners == sorted(partners)
