@@ -22,12 +22,15 @@ class ContextQuery:
         return len(self.prefix) + 1
 
     def tokens(self, order: int | None = None) -> list[str]:
-        """The query token sequence, truncated from the left to `order`."""
+        """The query token sequence, truncated from the left to `order`
+        (whole when `order` exceeds the query's own)."""
         if order is None:
             order = self.order
-        keep = order - 1
-        prefix = self.prefix[len(self.prefix) - keep:] if keep else ()
-        return [*prefix, self.candidate]
+        return [*self.context(order), self.candidate]
+
+    def context(self, order: int) -> tuple[str, ...]:
+        """The prefix tokens that ``tokens(order)`` keeps."""
+        return self.prefix[max(0, len(self.prefix) - (order - 1)):]
 
 
 @dataclass
@@ -86,15 +89,38 @@ def select_correction(queries: list[ContextQuery], backend,
     only when no order produced a nonzero count -- with backoff enabled
     that cannot happen for in-vocabulary candidates, because order 1 is
     the candidate's own unigram count.
+
+    Within a line, every occurrence of ``context + word`` is an occurrence
+    of ``context`` and of each of its suffixes, so ``count(context + word)
+    <= count(context)``. A context that never occurs is looked up once and
+    scores 0 for every query it precedes, with no lookup of their own; a
+    context that occurs makes its suffix, the next order's context, known
+    to occur without a lookup. The scores equal those of counting every
+    query.
     """
     if not queries:
         raise ValueError("queries must be non-empty")
     config = config or PipelineConfig()
     full_order = queries[0].order
     orders = range(full_order, 0, -1) if config.backoff_enabled else [full_order]
+    by_prefix: dict[tuple[str, ...], list[int]] = {}
+    for i, q in enumerate(queries):
+        by_prefix.setdefault(q.prefix, []).append(i)
+    occurs: dict[tuple[str, ...], bool] = {}  # context -> count > 0
     scores: dict[str, tuple[int, int]] = {}
     for order in orders:
-        counts = [backend.ngram_count(q.tokens(order)) for q in queries]
+        counts = [0] * len(queries)
+        for members in by_prefix.values():
+            context = queries[members[0]].context(order)
+            if context:
+                if context not in occurs:
+                    occurs[context] = backend.ngram_count(context) > 0
+                if not occurs[context]:
+                    continue
+                occurs[context[1:]] = True
+            for i in members:
+                counts[i] = backend.ngram_count(
+                    [*context, queries[i].candidate])
         scores = {q.candidate: (order, c) for q, c in zip(queries, counts)}
         best = max(counts)
         if best > 0:

@@ -118,6 +118,13 @@ def detect_realword_suspects(transcript: Transcript, backend,
     times the token's own (zero counts as one). Tokens with no preceding
     context are never flagged: without context there is nothing
     context-sensitive to compare. margin=inf disables the pass.
+
+    Candidates are generated and counted only where one could reach the
+    threshold. Within a line, every occurrence of ``prefix + word`` is an
+    occurrence of ``prefix``, so ``count(prefix + word) <= count(prefix)``
+    for every word; a token whose prefix alone is rarer than the threshold
+    is skipped after that one lookup, with the same result as ranking its
+    candidates.
     """
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
@@ -130,6 +137,8 @@ def detect_realword_suspects(transcript: Transcript, backend,
         prefix = transcript.tokens[max(0, i - window):i]
         own = backend.ngram_count(prefix + [token])
         threshold = margin * max(own, 1)
+        if prefix and backend.ngram_count(prefix) < threshold:
+            continue  # no candidate can occur more often than its context
         for cand in generate_candidates(token, backend, k=k).ranked:
             if backend.ngram_count(prefix + [cand.word]) >= threshold:
                 suspects.append(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import http.client
 import logging
+import sys
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -51,11 +52,22 @@ def serve(index: NgramIndex, bind_address: str = "127.0.0.1",
     """
     handler = _make_handler(index)
     try:
-        return ThreadingHTTPServer((bind_address, port), handler)
+        return _Server((bind_address, port), handler)
     except OSError as exc:
         raise OSError(
             f"cannot bind lookup service to {bind_address}:{port}: {exc}"
         ) from exc
+
+
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # A kept-alive client that goes away mid-request is not a server
+        # fault: one line at DEBUG instead of a traceback on stderr.
+        exc = sys.exc_info()[1]
+        if isinstance(exc, ConnectionError):
+            log.debug("%s dropped the connection: %r", client_address[0], exc)
+        else:
+            super().handle_error(request, client_address)
 
 
 def _make_handler(index: NgramIndex):

@@ -180,9 +180,9 @@ def test_criterion_09_backend_equivalence_over_http(worked_index):
     server = serve(worked_index, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    host, port = server.server_address[:2]
+    remote = RemoteBackend(f"http://{host}:{port}")
     try:
-        host, port = server.server_address[:2]
-        remote = RemoteBackend(f"http://{host}:{port}")
         local = correct_transcript(WORKED_ERROR_TEXT, worked_index)
         over_http = correct_transcript(WORKED_ERROR_TEXT, remote)
         assert over_http.corrected_text.encode() == \
@@ -190,7 +190,9 @@ def test_criterion_09_backend_equivalence_over_http(worked_index):
         assert [d.chosen for d in over_http.decisions] == \
             [d.chosen for d in local.decisions]
     finally:
+        remote.close()
         server.shutdown()
+        server.server_close()
     _ok(9, "pipeline output through the HTTP service is byte-identical "
            "to the local backend")
 

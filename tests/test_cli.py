@@ -138,4 +138,4 @@ def test_serve_subprocess_and_remote_correct(tmp_path, index_dir):
         assert out_remote.read_bytes() == out_local.read_bytes()
     finally:
         proc.terminate()
-        proc.wait(timeout=10)
+        proc.communicate(timeout=10)  # reaps the child, closes its pipes

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
-from asrspell import (PipelineConfig, build_context_queries, build_index,
-                      correct_transcript, generate_candidates,
-                      select_correction, tokenize)
-from asrspell.correct import ContextQuery
+from asrspell import (BackendError, CorruptionSpec, PipelineConfig,
+                      build_context_queries, build_index, correct_transcript,
+                      detect_nonword_errors, generate_candidates,
+                      inject_errors, select_correction, tokenize)
+from asrspell.correct import ContextQuery, CorrectionDecision
+from tests._synth import passage_of, synth_corpus
 from tests.conftest import WORKED_ERROR_TEXT, WORKED_SENTENCE
+from tests.test_detect import CountingBackend
 
 CORRECTED = WORKED_SENTENCE  # what the error text must become
 
@@ -46,6 +51,22 @@ class TestBuildContextQueries:
         cands = generate_candidates("shaws", worked_index, k=1)
         with pytest.raises(ValueError):
             build_context_queries(transcript, 2, cands)
+
+
+class TestContextQueryTokens:
+    def test_truncated_from_the_left(self):
+        q = ContextQuery(("a", "b", "c", "d"), "e")
+        assert q.tokens() == ["a", "b", "c", "d", "e"]
+        assert q.tokens(3) == ["c", "d", "e"]
+        assert q.tokens(1) == ["e"]
+
+    @pytest.mark.parametrize("prefix", [(), ("a",), ("a", "b"),
+                                        ("a", "b", "c")])
+    def test_whole_above_own_order(self, prefix):
+        q = ContextQuery(prefix, "z")
+        for order in range(q.order, 6):
+            assert q.tokens(order) == [*prefix, "z"]
+            assert q.context(order) == prefix
 
 
 class TestSelectCorrection:
@@ -100,6 +121,112 @@ class TestSelectCorrection:
     def test_empty_queries_rejected(self, worked_index):
         with pytest.raises(ValueError):
             select_correction([], worked_index)
+
+
+def unpruned_select(queries, backend, config):
+    """Reference: select_correction counting every query at every order,
+    without the context-count bound."""
+    full_order = queries[0].order
+    orders = (range(full_order, 0, -1) if config.backoff_enabled
+              else [full_order])
+    scores = {}
+    for order in orders:
+        counts = [backend.ngram_count(q.tokens(order)) for q in queries]
+        scores = {q.candidate: (order, c) for q, c in zip(queries, counts)}
+        if max(counts) > 0:
+            return CorrectionDecision(
+                chosen=queries[counts.index(max(counts))].candidate,
+                scores=scores, backoff_order=order)
+    return CorrectionDecision(chosen=None, scores=scores,
+                              backoff_order=orders[-1])
+
+
+@pytest.fixture(scope="module")
+def synth_selection():
+    """A seeded synthetic index and the context queries of every non-word
+    error in transcripts cut from it and from fresh text, at windows 0-4."""
+    corpus = synth_corpus(8000, seed=21)
+    index = build_index(corpus, corpus_id="synth-select")
+    fresh = synth_corpus(3000, seed=22)
+    query_sets = []
+    for i in range(16):
+        text = passage_of(corpus if i % 2 else fresh, 40, start_line=i)
+        spec = CorruptionSpec(nonword_rate=0.1, seed=i)
+        transcript = tokenize(inject_errors(text, index, spec).corrupted_text)
+        for error in detect_nonword_errors(transcript, index):
+            cands = generate_candidates(error.token, index, k=8)
+            if cands:
+                query_sets.append(build_context_queries(
+                    transcript, error.position, cands, window=i % 5))
+    return index, query_sets
+
+
+def _mixed_prefix_queries(index, query_sets, rng):
+    """Queries whose prefixes differ in tokens and in length: the public
+    API allows them, the pipeline never makes them."""
+    vocab = sorted(index.vocab)
+    prefixes = [qs[0].prefix for qs in query_sets]
+    mixed = []
+    for _ in range(120):
+        queries = []
+        for _ in range(rng.randint(1, 6)):
+            prefix = rng.choice(prefixes)
+            prefix = prefix[rng.randint(0, len(prefix)):]
+            if prefix and rng.random() < 0.3:
+                prefix = (rng.choice(vocab),) + prefix[1:]
+            queries.append(ContextQuery(prefix, rng.choice(vocab)))
+        mixed.append(queries)
+    return mixed
+
+
+class TestSelectionContextBound:
+    @pytest.mark.parametrize("backoff", [True, False])
+    def test_matches_unpruned_reference(self, synth_selection, backoff):
+        index, query_sets = synth_selection
+        config = PipelineConfig(backoff_enabled=backoff)
+        orders = set()
+        for queries in query_sets:
+            got = select_correction(queries, index, config)
+            assert got == unpruned_select(queries, index, config)
+            orders.add(got.backoff_order)
+        assert len(orders) >= 3  # backoff really happens
+
+    @pytest.mark.parametrize("backoff", [True, False])
+    def test_mixed_prefixes_match_reference(self, synth_selection, backoff):
+        index, query_sets = synth_selection
+        config = PipelineConfig(backoff_enabled=backoff)
+        rng = random.Random(5)
+        for queries in _mixed_prefix_queries(index, query_sets, rng):
+            assert select_correction(queries, index, config) == \
+                unpruned_select(queries, index, config)
+
+    def test_unattested_context_costs_one_lookup(self, worked_index):
+        # "zebra of your favorite" never occurs; "of your favorite" does.
+        cands = generate_candidates("shaws", worked_index, k=8)
+        queries = [ContextQuery(("zebra", "of", "your", "favorite"), c.word)
+                   for c in cands.ranked]
+        backend = CountingBackend(worked_index)
+        decision = select_correction(
+            queries, backend, PipelineConfig(backoff_enabled=False))
+        assert decision.chosen is None
+        assert backend.calls["ngram_count"] == 1
+        backend = CountingBackend(worked_index)
+        decision = select_correction(queries, backend)
+        assert (decision.chosen, decision.backoff_order) == ("shows", 4)
+        # One lookup at order 5, the context and 8 candidates at order 4.
+        assert backend.calls["ngram_count"] == 1 + 1 + 8
+
+    def test_context_lookup_fault_propagates(self, worked_index):
+        class FailingContext(CountingBackend):
+            def ngram_count(self, tokens):
+                if list(tokens) == ["of", "your", "favorite"]:
+                    raise BackendError("lookup service down")
+                return self._inner.ngram_count(tokens)
+
+        queries = [ContextQuery(("zebra", "of", "your", "favorite"), w)
+                   for w in ["shows", "haws"]]
+        with pytest.raises(BackendError):
+            select_correction(queries, FailingContext(worked_index))
 
 
 class TestCorrectTranscript:

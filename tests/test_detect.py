@@ -1,10 +1,14 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from asrspell import (ErrorKind, build_index, detect_nonword_errors,
-                      detect_realword_suspects, normalize_token, tokenize)
+from asrspell import (BackendError, CorruptionSpec, DetectedError, ErrorKind,
+                      build_index, detect_nonword_errors,
+                      detect_realword_suspects, generate_candidates,
+                      inject_errors, normalize_token, tokenize)
+from tests._synth import passage_of, synth_corpus
 from tests.conftest import WORKED_ERROR_TEXT, WORKED_SENTENCE
 
 
@@ -127,3 +131,116 @@ class TestRealwordDetection:
         with pytest.raises(ValueError):
             detect_realword_suspects(tokenize("a b"), realword_index,
                                      margin=0.5)
+
+
+def unpruned_realword_suspects(transcript, backend, margin, window, k=8):
+    """Reference: real-word detection that ranks and counts the candidates
+    of every in-vocabulary token, without the context-count bound."""
+    suspects = []
+    for i, token in enumerate(transcript.tokens):
+        if i == 0 or len(token) < 2 or any(c.isdigit() for c in token):
+            continue
+        if not backend.unigram_exists(token):
+            continue
+        prefix = transcript.tokens[max(0, i - window):i]
+        threshold = margin * max(backend.ngram_count(prefix + [token]), 1)
+        if any(backend.ngram_count(prefix + [cand.word]) >= threshold
+               for cand in generate_candidates(token, backend, k=k).ranked):
+            suspects.append(
+                DetectedError(i, token, ErrorKind.REALWORD_SUSPECT))
+    return suspects
+
+
+class CountingBackend:
+    """Delegates to an index and counts calls per contract method."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = Counter()
+
+    @property
+    def max_order(self):
+        return self._inner.max_order
+
+    def __getattr__(self, name):
+        method = getattr(self._inner, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.fixture(scope="module")
+def synth_case():
+    """A seeded synthetic index and transcripts with real-word and
+    non-word errors: half cut from the corpus itself (frequent contexts),
+    half from fresh text (many unattested ones)."""
+    corpus = synth_corpus(8000, seed=11)
+    index = build_index(corpus, corpus_id="synth-detect")
+    fresh = synth_corpus(3000, seed=12)
+    transcripts = []
+    for i in range(12):
+        text = passage_of(corpus if i % 2 else fresh, 40, start_line=i)
+        spec = CorruptionSpec(nonword_rate=0.05, realword_rate=0.2, seed=i)
+        transcripts.append(
+            tokenize(inject_errors(text, index, spec).corrupted_text))
+    return index, transcripts
+
+
+class TestRealwordContextBound:
+    @pytest.mark.parametrize("window", [0, 1, 4])
+    @pytest.mark.parametrize("margin", [1, 1.5, 10, math.inf])
+    def test_matches_unpruned_reference(self, synth_case, margin, window):
+        index, transcripts = synth_case
+        flagged = 0
+        for transcript in transcripts:
+            got = detect_realword_suspects(transcript, index, margin=margin,
+                                           window=window)
+            assert got == unpruned_realword_suspects(
+                transcript, index, margin, window)
+            flagged += len(got)
+        assert (flagged > 0) == (margin != math.inf)
+
+    def test_infinite_margin_ranks_nothing(self, synth_case):
+        # Every context count is below an infinite threshold. (Without a
+        # context, window=0, candidates are still ranked.)
+        index, transcripts = synth_case
+        for window in [1, 4]:
+            backend = CountingBackend(index)
+            for transcript in transcripts:
+                detect_realword_suspects(transcript, backend,
+                                         margin=math.inf, window=window)
+            assert backend.calls["rank_by_shared_bigrams"] == 0
+
+    def test_rare_context_ranks_nothing(self, realword_index):
+        # count("hews") = 1 is below the threshold 10 * max(0, 1): no
+        # candidate of "shawls" can reach it after "hews".
+        backend = CountingBackend(realword_index)
+        assert detect_realword_suspects(tokenize("hews shawls"), backend,
+                                        margin=10, window=1) == []
+        assert backend.calls["rank_by_shared_bigrams"] == 0
+        assert backend.calls["ngram_count"] == 2  # own count, context count
+
+    def test_frequent_context_still_ranks(self, realword_index):
+        # "your favorite" occurs 25 times, enough for "shows" to beat
+        # "shawls"; every other token's context is too rare or too well
+        # matched by the token itself.
+        backend = CountingBackend(realword_index)
+        text = "watch episodes of your favorite shawls and more"
+        suspects = detect_realword_suspects(tokenize(text), backend,
+                                            margin=10, window=4)
+        assert [(s.position, s.token) for s in suspects] == [(5, "shawls")]
+        assert backend.calls["rank_by_shared_bigrams"] == 1
+
+    def test_context_lookup_fault_propagates(self, realword_index):
+        class FailingContext(CountingBackend):
+            def ngram_count(self, tokens):
+                if list(tokens) == ["your", "favorite"]:
+                    raise BackendError("lookup service down")
+                return self._inner.ngram_count(tokens)
+
+        with pytest.raises(BackendError):
+            detect_realword_suspects(
+                tokenize("your favorite shawls"),
+                FailingContext(realword_index), margin=10, window=2)

@@ -1,6 +1,7 @@
 import logging
 import random
 import socket
+import struct
 import sys
 import threading
 import time
@@ -360,6 +361,29 @@ class TestConnections:
         with pytest.raises(BackendError):
             remote.manifest()
         remote.close()
+
+    def test_client_reset_leaves_no_traceback(self, counted, capfd, caplog):
+        caplog.set_level(logging.DEBUG, logger="asrspell.service")
+        with socket.create_connection(("127.0.0.1", counted.port)) as sock:
+            sock.sendall(b"GET /v1/unigram?q=shows HTTP/1.1\r\n"
+                         b"Host: test\r\n\r\n")
+            reply = b""
+            while not reply.endswith(b"\r\n\r\n7\n"):
+                chunk = sock.recv(4096)
+                assert chunk, f"connection closed after {reply!r}"
+                reply += chunk
+            # Half of the next request, then a reset instead of a FIN.
+            sock.sendall(b"GET /v1/ngram?q=favor")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+        [conn] = counted.accepted
+        deadline = time.monotonic() + 5
+        while conn.fileno() != -1:  # closed once handle_error has run
+            assert time.monotonic() < deadline, "handler still running"
+            time.sleep(0.01)
+        assert "Traceback" not in capfd.readouterr().err
+        assert any("dropped the connection" in r.getMessage()
+                   for r in caplog.records)
 
 
 def _capped_vocabulary(seed):
