@@ -18,6 +18,13 @@ class Backend(Protocol):
     lookup source. ``NgramIndex`` satisfies it directly; ``RemoteBackend``
     satisfies it over HTTP, with every answer equal to the local one.
 
+    ``ngram_count`` is a batch: it takes a sequence of queries, each a
+    sequence of 1..max_order tokens, and returns one raw corpus count per
+    query, in order. A query given as a bare string is a ValueError, so a
+    string is never counted as a sequence of characters. The pipeline
+    makes one call per stage, which over HTTP is one request per
+    64 KiB of queries. ``unigram_exists(token)`` equals a count above 0.
+
     ``rank_by_shared_bigrams`` returns the top ``k`` vocabulary words by
     number of the distinct character ``bigrams`` they contain, then corpus
     frequency, then word, leaving out ``exclude``; the candidate generator
@@ -30,10 +37,20 @@ class Backend(Protocol):
 
     def unigram_exists(self, token: str) -> bool: ...
 
-    def ngram_count(self, tokens: Sequence[str]) -> int: ...
+    def ngram_count(self, queries: Sequence[Sequence[str]]) -> list[int]: ...
 
     def unigrams_containing_bigram(self, bigram: str) -> list[str]: ...
 
     def rank_by_shared_bigrams(self, bigrams: Iterable[str], k: int,
                                exclude: str | None = None
                                ) -> list[Candidate]: ...
+
+
+def count_distinct(backend: Backend, queries: Iterable[tuple[str, ...]]
+                   ) -> dict[tuple[str, ...], int]:
+    """The count of each distinct query, from one ``ngram_count`` call,
+    or from none when there is no query."""
+    keys = list(dict.fromkeys(queries))
+    if not keys:
+        return {}
+    return dict(zip(keys, backend.ngram_count(keys), strict=True))

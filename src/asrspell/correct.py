@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from asrspell.backend import count_distinct
 from asrspell.candidates import CandidateSet, generate_candidates
 from asrspell.detect import (DetectedError, ErrorKind, Transcript,
                              detect_nonword_errors, detect_realword_suspects,
@@ -91,12 +92,11 @@ def select_correction(queries: list[ContextQuery], backend,
     the candidate's own unigram count.
 
     Within a line, every occurrence of ``context + word`` is an occurrence
-    of ``context`` and of each of its suffixes, so ``count(context + word)
-    <= count(context)``. A context that never occurs is looked up once and
-    scores 0 for every query it precedes, with no lookup of their own; a
-    context that occurs makes its suffix, the next order's context, known
-    to occur without a lookup. The scores equal those of counting every
-    query.
+    of ``context``, so ``count(context + word) <= count(context)``. The
+    distinct contexts of every order are counted in one backend call
+    first; a query whose context never occurs scores 0 with no count of
+    its own. Each order tried then costs at most one call for the rest.
+    The scores equal those of counting every query.
     """
     if not queries:
         raise ValueError("queries must be non-empty")
@@ -106,21 +106,23 @@ def select_correction(queries: list[ContextQuery], backend,
     by_prefix: dict[tuple[str, ...], list[int]] = {}
     for i, q in enumerate(queries):
         by_prefix.setdefault(q.prefix, []).append(i)
-    occurs: dict[tuple[str, ...], bool] = {}  # context -> count > 0
+    contexts = count_distinct(backend, (
+        context for order in orders for members in by_prefix.values()
+        if (context := queries[members[0]].context(order))))
     scores: dict[str, tuple[int, int]] = {}
     for order in orders:
-        counts = [0] * len(queries)
+        live: list[tuple[str, ...]] = []
+        positions: list[int] = []
         for members in by_prefix.values():
             context = queries[members[0]].context(order)
-            if context:
-                if context not in occurs:
-                    occurs[context] = backend.ngram_count(context) > 0
-                if not occurs[context]:
-                    continue
-                occurs[context[1:]] = True
-            for i in members:
-                counts[i] = backend.ngram_count(
-                    [*context, queries[i].candidate])
+            if not context or contexts[context] > 0:
+                live += [(*context, queries[i].candidate) for i in members]
+                positions += members
+        counts = [0] * len(queries)
+        if live:
+            for i, count in zip(positions, backend.ngram_count(live),
+                                strict=True):
+                counts[i] = count
         scores = {q.candidate: (order, c) for q, c in zip(queries, counts)}
         best = max(counts)
         if best > 0:

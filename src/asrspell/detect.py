@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from asrspell.backend import count_distinct
 from asrspell.candidates import generate_candidates
 from asrspell.store import normalize_token
 
@@ -92,19 +93,24 @@ def splice(transcript: Transcript, replacements: list[tuple[int, str]]) -> str:
 
 def _exempt(token: str) -> bool:
     # Numerals and codes are not dictionary words; flagging them would be
-    # noise the index vocabulary cannot arbitrate.
-    return any(c.isdigit() for c in token)
+    # noise the index vocabulary cannot arbitrate. No letter is a digit, so
+    # the one call to isalpha() settles most tokens.
+    return not token.isalpha() and any(c.isdigit() for c in token)
 
 
 def detect_nonword_errors(transcript: Transcript, backend) -> list[DetectedError]:
-    """One NonWord error per out-of-vocabulary token, in position order."""
-    errors = []
-    for i, token in enumerate(transcript.tokens):
-        if _exempt(token):
-            continue
-        if not backend.unigram_exists(token):
-            errors.append(DetectedError(i, token, ErrorKind.NONWORD))
-    return errors
+    """One NonWord error per out-of-vocabulary token, in position order.
+
+    The unigram counts of all checked tokens come from one backend call.
+    """
+    checked = [(i, token) for i, token in enumerate(transcript.tokens)
+               if not _exempt(token)]
+    if not checked:
+        return []
+    counts = backend.ngram_count([(token,) for _, token in checked])
+    return [DetectedError(i, token, ErrorKind.NONWORD)
+            for (i, token), count in zip(checked, counts, strict=True)
+            if count == 0]
 
 
 def detect_realword_suspects(transcript: Transcript, backend,
@@ -123,25 +129,37 @@ def detect_realword_suspects(transcript: Transcript, backend,
     threshold. Within a line, every occurrence of ``prefix + word`` is an
     occurrence of ``prefix``, so ``count(prefix + word) <= count(prefix)``
     for every word; a token whose prefix alone is rarer than the threshold
-    is skipped after that one lookup, with the same result as ranking its
-    candidates.
+    is skipped, with the same result as ranking its candidates.
+
+    Counts come in at most two backend calls: one for every checked token's
+    unigram, own and prefix counts, one for the candidates of the tokens
+    that survive the bound.
     """
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
-    suspects = []
-    for i, token in enumerate(transcript.tokens):
-        if i == 0 or len(token) < 2 or _exempt(token):
-            continue
-        if not backend.unigram_exists(token):
+    tokens = transcript.tokens
+    checked = [(i, tuple(tokens[max(0, i - window):i]), token)
+               for i, token in enumerate(tokens)
+               if i > 0 and len(token) >= 2 and not _exempt(token)]
+    # Per token: its unigram, its own query and, unless empty, its prefix;
+    # the counts are read back in that order.
+    queries = [query for _, prefix, token in checked
+               for query in ((token,), (*prefix, token), prefix) if query]
+    counts = iter(backend.ngram_count(queries) if queries else ())
+    survivors = []
+    for i, prefix, token in checked:
+        unigram, own = next(counts), next(counts)
+        context = next(counts) if prefix else None
+        if unigram == 0:
             continue  # already a NonWord error
-        prefix = transcript.tokens[max(0, i - window):i]
-        own = backend.ngram_count(prefix + [token])
         threshold = margin * max(own, 1)
-        if prefix and backend.ngram_count(prefix) < threshold:
+        if prefix and context < threshold:
             continue  # no candidate can occur more often than its context
-        for cand in generate_candidates(token, backend, k=k).ranked:
-            if backend.ngram_count(prefix + [cand.word]) >= threshold:
-                suspects.append(
-                    DetectedError(i, token, ErrorKind.REALWORD_SUSPECT))
-                break
-    return suspects
+        cands = generate_candidates(token, backend, k=k).words()
+        survivors.append((i, prefix, token, threshold, cands))
+    counts = count_distinct(backend, (
+        (*prefix, cand) for _, prefix, _, _, cands in survivors
+        for cand in cands))
+    return [DetectedError(i, token, ErrorKind.REALWORD_SUSPECT)
+            for i, prefix, token, threshold, cands in survivors
+            if any(counts[(*prefix, cand)] >= threshold for cand in cands)]

@@ -4,6 +4,9 @@ Protocol (HTTP/1.1 with keep-alive, UTF-8, plain text bodies, no auth):
 
     GET /v1/unigram?q=<token>                  -> count as decimal text
     GET /v1/ngram?q=<tokens, '+'-separated>    -> count (1..5 tokens)
+    POST /v1/ngram                             -> one count per line
+        body: one query per line, its 1..5 tokens space-separated; at
+        most MAX_BATCH_BYTES (64 KiB), sent with a Content-Length
     GET /v1/postings?q=<2 chars>               -> newline-separated words,
                                                   capped at 1000
     GET /v1/candidates?b=<2 chars>&b=...&k=<k>[&exclude=<word>]
@@ -13,11 +16,14 @@ Protocol (HTTP/1.1 with keep-alive, UTF-8, plain text bodies, no auth):
                                                   line each
     GET /v1/manifest                           -> manifest TSV
 
-Malformed queries get 400 with a one-line reason. Counts are raw corpus
-occurrences; a zero body means "not seen", never "server trouble" (faults
-surface as HTTP errors, which the client raises as BackendError). The
-1000-word cap applies to /v1/postings only: /v1/candidates ranks the whole
-vocabulary on the server, exactly as a local index does.
+Malformed queries get 400 with a one-line reason; a batch is rejected
+whole when any line is malformed. A POST without Content-Length gets 411
+and one above MAX_BATCH_BYTES gets 413; both close the connection, as the
+body is left unread. Counts are raw corpus occurrences; a zero means "not
+seen", never "server trouble" (faults surface as HTTP errors, which the
+client raises as BackendError). The 1000-word cap applies to /v1/postings
+only: /v1/candidates ranks the whole vocabulary on the server, exactly as
+a local index does.
 
 Connections are kept open between requests; the server closes one after
 IDLE_TIMEOUT_S seconds without a request.
@@ -30,17 +36,18 @@ import sys
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from asrspell.backend import BackendError
 from asrspell.candidates import Candidate
-from asrspell.store import NgramIndex
+from asrspell.store import NgramIndex, check_query
 
 log = logging.getLogger(__name__)
 
 POSTINGS_CAP = 1000
 PROTOCOL_MAX_ORDER = 5
 IDLE_TIMEOUT_S = 30
+MAX_BATCH_BYTES = 65536
 
 
 def serve(index: NgramIndex, bind_address: str = "127.0.0.1",
@@ -80,41 +87,74 @@ def _make_handler(index: NgramIndex):
 
         def do_GET(self):
             url = urllib.parse.urlparse(self.path)
-            try:
-                body = self._dispatch(url)
-            except _BadRequest as exc:
-                self._reply(400, str(exc) + "\n")
-            except KeyError:
-                self._reply(404, "unknown endpoint\n")
-            else:
-                self._reply(200, body)
-
-        def _dispatch(self, url) -> str:
-            route = {
+            self._answer({
                 "/v1/unigram": self._unigram,
                 "/v1/ngram": self._ngram,
                 "/v1/postings": self._postings,
                 "/v1/candidates": self._candidates,
                 "/v1/manifest": self._manifest,
-            }[url.path]
-            return route(url.query)
+            }.get(url.path), url.query)
+
+        def do_POST(self):
+            # Every early reply leaves the body unread, so it also closes
+            # the connection.
+            length = self.headers.get("Content-Length")
+            if length is None:
+                self._reply(411, "Content-Length required\n", close=True)
+                return
+            if not (length.isascii() and length.isdigit()):
+                self._reply(400, f"bad Content-Length {length!r}\n",
+                            close=True)
+                return
+            size = int(length)
+            if size > MAX_BATCH_BYTES:
+                self._reply(413, f"body exceeds {MAX_BATCH_BYTES} bytes\n",
+                            close=True)
+                return
+            body = self.rfile.read(size)
+            if len(body) < size:
+                self.close_connection = True  # the client went away
+                return
+            url = urllib.parse.urlparse(self.path)
+            self._answer({"/v1/ngram": self._ngram_batch}.get(url.path),
+                         body)
+
+        def _answer(self, route, arg):
+            if route is None:
+                self._reply(404, "unknown endpoint\n")
+                return
+            try:
+                body = route(arg)
+            except _BadRequest as exc:
+                self._reply(400, str(exc) + "\n")
+            else:
+                self._reply(200, body)
 
         def _unigram(self, query: str) -> str:
             token = _single_param(query)
             if not token or " " in token:
                 raise _BadRequest("q must be a single token")
-            return f"{index.ngram_count([token])}\n"
+            return f"{index.ngram_count([[token]])[0]}\n"
 
         def _ngram(self, query: str) -> str:
-            raw = _single_param(query)
-            tokens = raw.split(" ") if raw else []
-            if not tokens or "" in tokens:
-                raise _BadRequest("q must be 1..5 '+'-separated tokens")
-            if len(tokens) > min(PROTOCOL_MAX_ORDER, index.max_order):
-                raise _BadRequest(
-                    f"query order {len(tokens)} exceeds maximum "
-                    f"{min(PROTOCOL_MAX_ORDER, index.max_order)}")
-            return f"{index.ngram_count(tokens)}\n"
+            tokens = _query_tokens(_single_param(query), index.max_order)
+            return f"{index.ngram_count([tokens])[0]}\n"
+
+        def _ngram_batch(self, body: bytes) -> str:
+            try:
+                text = body.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _BadRequest(f"body is not UTF-8: {exc}") from None
+            lines = text.split("\n")
+            if lines[-1] == "":
+                lines.pop()  # the last query's line end
+            queries = []
+            for lineno, line in enumerate(lines, start=1):
+                try:
+                    queries.append(_query_tokens(line, index.max_order))
+                except _BadRequest as exc:
+                    raise _BadRequest(f"line {lineno}: {exc}") from None
+            return "".join(f"{c}\n" for c in index.ngram_count(queries))
 
         def _postings(self, query: str) -> str:
             bigram = _single_param(query)
@@ -147,11 +187,13 @@ def _make_handler(index: NgramIndex):
         def _manifest(self, query: str) -> str:
             return index.manifest.to_tsv()
 
-        def _reply(self, status: int, body: str):
+        def _reply(self, status: int, body: str, close: bool = False):
             data = body.encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "text/plain; charset=utf-8")
             self.send_header("Content-Length", str(len(data)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(data)
 
@@ -163,6 +205,19 @@ def _make_handler(index: NgramIndex):
 
 class _BadRequest(Exception):
     pass
+
+
+def _query_tokens(raw: str, max_order: int) -> list[str]:
+    """The tokens of one space-separated query, or _BadRequest."""
+    tokens = raw.split(" ") if raw else []
+    if not tokens or "" in tokens:
+        raise _BadRequest(f"a query must be 1..{PROTOCOL_MAX_ORDER} tokens "
+                          f"separated by single spaces")
+    limit = min(PROTOCOL_MAX_ORDER, max_order)
+    if len(tokens) > limit:
+        raise _BadRequest(
+            f"query order {len(tokens)} exceeds maximum {limit}")
+    return tokens
 
 
 def _single_param(query: str) -> str:
@@ -178,8 +233,11 @@ class RemoteBackend:
 
     Every lookup, candidate ranking included, returns what the index would
     return locally: ranking runs on the server over the whole vocabulary.
-    Only ``unigrams_containing_bigram`` is capped, at 1000 words. Each
-    thread keeps one persistent connection. Network faults raise
+    Only ``unigrams_containing_bigram`` is capped, at 1000 words. A batch
+    of counts goes out as ``POST /v1/ngram`` requests of at most
+    MAX_BATCH_BYTES each, so one ``ngram_count`` call is one request unless
+    its queries take more than 64 KiB. Each thread keeps one persistent
+    connection. Network faults and replies of the wrong shape raise
     BackendError; they are never folded into a zero count.
     """
 
@@ -206,32 +264,46 @@ class RemoteBackend:
         return self._max_order
 
     def manifest(self) -> dict[str, str]:
-        body = self._get("/v1/manifest")
+        body = self._call("GET", "/v1/manifest")
         entries = (line.split("\t", 1) for line in body.splitlines() if line)
         return {key: value for key, value in entries}
 
     def unigram_exists(self, token: str) -> bool:
-        return self.ngram_count([token]) > 0
+        return self.ngram_count([(token,)])[0] > 0
 
-    def ngram_count(self, tokens: Sequence[str] | str) -> int:
-        if isinstance(tokens, str):
-            tokens = (tokens,)
-        n = len(tokens)
-        if not 1 <= n <= self.max_order:
-            raise ValueError(f"query order {n} outside 1..{self.max_order}")
-        endpoint = "/v1/unigram" if n == 1 else "/v1/ngram"
-        body = self._get(endpoint, [("q", " ".join(tokens))])
-        try:
-            return int(body.strip())
-        except ValueError:
-            raise BackendError(
-                f"{self._base}{endpoint}: non-numeric count {body!r}")
+    def ngram_count(self, queries: Sequence[Sequence[str]]) -> list[int]:
+        lines = []
+        for tokens in queries:
+            check_query(tokens, self.max_order)
+            if any(not t or " " in t or "\n" in t for t in tokens):
+                raise ValueError(f"tokens must be non-empty and hold no "
+                                 f"space or line end: {list(tokens)!r}")
+            line = (" ".join(tokens) + "\n").encode("utf-8")
+            if len(line) > MAX_BATCH_BYTES:
+                raise ValueError(f"query of {len(line)} bytes exceeds the "
+                                 f"{MAX_BATCH_BYTES}-byte batch limit")
+            lines.append(line)
+        counts: list[int] = []
+        for batch in _batches(lines, MAX_BATCH_BYTES):
+            body = self._call("POST", "/v1/ngram", body=b"".join(batch))
+            values = body.split("\n")
+            if values.pop() != "" or len(values) != len(batch):
+                raise BackendError(
+                    f"{self._base}/v1/ngram: {len(batch)} queries but the "
+                    f"reply is {body[:200]!r}")
+            try:
+                counts += map(int, values)
+            except ValueError:
+                raise BackendError(
+                    f"{self._base}/v1/ngram: non-numeric count in "
+                    f"{body[:200]!r}") from None
+        return counts
 
     def unigrams_containing_bigram(self, bigram: str) -> list[str]:
         if len(bigram) != 2:
             raise ValueError(f"character bigram must have length 2, "
                              f"got {bigram!r}")
-        body = self._get("/v1/postings", [("q", bigram)])
+        body = self._call("GET", "/v1/postings", [("q", bigram)])
         return [line for line in body.split("\n") if line]
 
     def rank_by_shared_bigrams(self, bigrams: Iterable[str], k: int,
@@ -239,7 +311,7 @@ class RemoteBackend:
         params = [("b", gram) for gram in bigrams] + [("k", k)]
         if exclude:
             params.append(("exclude", exclude))
-        body = self._get("/v1/candidates", params)
+        body = self._call("GET", "/v1/candidates", params)
         try:
             return [Candidate(word=word, shared=int(shared),
                               unigram_count=int(count))
@@ -256,13 +328,14 @@ class RemoteBackend:
         if conn is not None:
             conn.close()
 
-    def _get(self, path: str,
-             params: Sequence[tuple[str, object]] = ()) -> str:
+    def _call(self, method: str, path: str,
+              params: Sequence[tuple[str, object]] = (),
+              body: bytes | None = None) -> str:
         target = self._path + path
         if params:
             target += "?" + urllib.parse.urlencode(params)
         try:
-            status, data = self._request(target)
+            status, data = self._request(method, target, body)
         except (OSError, http.client.HTTPException) as exc:
             raise BackendError(f"{self._base}{path}: {exc!r}") from exc
         if status == 200:
@@ -277,18 +350,22 @@ class RemoteBackend:
             raise ValueError(f"rejected query: {reason}")
         raise BackendError(f"{self._base}{path}: HTTP {status}: {reason}")
 
-    def _request(self, target: str) -> tuple[int, bytes]:
-        """One GET on this thread's connection. A kept connection the
-        server has meanwhile closed is retried once on a fresh one; GETs
-        are idempotent, so a repeat is safe."""
+    def _request(self, method: str, target: str,
+                 body: bytes | None) -> tuple[int, bytes]:
+        """One request on this thread's connection. A kept connection the
+        server has meanwhile closed is retried once on a fresh one. Every
+        request is read-only, the batch POST included, so a repeat is
+        safe."""
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = self._connection_class(
                 self._netloc, timeout=self._timeout)
+        headers = {} if body is None else {
+            "Content-Type": "text/plain; charset=utf-8"}
         while True:
             reused = conn.sock is not None
             try:
-                conn.request("GET", target)
+                conn.request(method, target, body=body, headers=headers)
                 with conn.getresponse() as resp:
                     return resp.status, resp.read()
             except (http.client.RemoteDisconnected, ConnectionResetError,
@@ -299,3 +376,17 @@ class RemoteBackend:
             except BaseException:
                 conn.close()
                 raise
+
+
+def _batches(lines: list[bytes], limit: int) -> Iterator[list[bytes]]:
+    """`lines` in order, cut into runs of at most `limit` bytes each."""
+    batch: list[bytes] = []
+    size = 0
+    for line in lines:
+        if batch and size + len(line) > limit:
+            yield batch
+            batch, size = [], 0
+        batch.append(line)
+        size += len(line)
+    if batch:
+        yield batch

@@ -116,14 +116,14 @@ class NgramIndex:
     def unigram_exists(self, token: str) -> bool:
         return token in self._tables[0]
 
-    def ngram_count(self, tokens: Sequence[str] | str) -> int:
-        if isinstance(tokens, str):
-            tokens = (tokens,)
-        n = len(tokens)
-        if not 1 <= n <= self.max_order:
-            raise ValueError(
-                f"query order {n} outside 1..{self.max_order}")
-        return self._tables[n - 1].get(" ".join(tokens), 0)
+    def ngram_count(self, queries: Sequence[Sequence[str]]) -> list[int]:
+        """The count of each query, a sequence of 1..max_order tokens."""
+        tables = self._tables
+        counts = []
+        for tokens in queries:
+            check_query(tokens, len(tables))
+            counts.append(tables[len(tokens) - 1].get(" ".join(tokens), 0))
+        return counts
 
     def unigrams_containing_bigram(self, bigram: str) -> list[str]:
         if len(bigram) != 2:
@@ -152,6 +152,18 @@ class NgramIndex:
                       unigram_count=int(self._uni_counts[wid]))
             for wid, shared in pairs
         ]
+
+
+def check_query(tokens: Sequence[str], max_order: int) -> None:
+    """Raise ValueError unless `tokens` is a token sequence of order
+    1..max_order. A bare string is rejected rather than read as a
+    sequence of one-character tokens."""
+    if isinstance(tokens, str):
+        raise ValueError(f"a query is a sequence of tokens, not the "
+                         f"string {tokens!r}")
+    if not 1 <= len(tokens) <= max_order:
+        raise ValueError(
+            f"query order {len(tokens)} outside 1..{max_order}")
 
 
 def tokenize_line(line: str) -> list[str]:
@@ -201,14 +213,22 @@ def save_index(index: NgramIndex, path: str | os.PathLike) -> None:
         f.write(index.manifest.to_tsv())
     for k in range(1, index.max_order + 1):
         table = index._tables[k - 1]
-        # Lexicographic by token sequence, not by the joined string: a
-        # space compares below most characters but tokens may contain
-        # arbitrary non-whitespace.
-        keys = sorted(table, key=lambda s: s.split(" "))
+        keys = sorted(table, key=_token_order)
         with open(root / f"{k}gram.tsv", "w", encoding="utf-8",
                   newline="\n") as f:
             for key in keys:
                 f.write(f"{key}\t{table[key]}\n")
+
+
+def _token_order(key: str) -> str:
+    """A string whose plain order is the token-sequence order of `key`.
+
+    Tokens may hold any character but the space, including ones below it,
+    so the joined string alone does not sort as the token lists do. Here
+    the separator becomes the lowest code pair, "\\0\\0", and a "\\0"
+    inside a token the next one, "\\0\\1".
+    """
+    return key.replace("\0", "\0\1").replace(" ", "\0\0")
 
 
 def load_index(path: str | os.PathLike) -> NgramIndex:

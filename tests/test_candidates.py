@@ -56,7 +56,7 @@ def brute_force_candidates(error, index, k):
         shared = shared_bigram_count(error, word)
         if shared >= 1:
             scored.append(Candidate(word=word, shared=shared,
-                                    unigram_count=index.ngram_count([word])))
+                                    unigram_count=index.ngram_count([[word]])[0]))
     scored.sort(key=Candidate.sort_key)
     return scored[:k]
 
@@ -101,7 +101,7 @@ class TestGenerateCandidates:
         for c in generate_candidates("shaws", worked_index, k=8).ranked:
             assert shared_bigram_count("shaws", c.word) == c.shared >= 1
             assert worked_index.unigram_exists(c.word)
-            assert c.unigram_count == worked_index.ngram_count([c.word])
+            assert [c.unigram_count] == worked_index.ngram_count([[c.word]])
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(40)

@@ -131,7 +131,7 @@ def unpruned_select(queries, backend, config):
               else [full_order])
     scores = {}
     for order in orders:
-        counts = [backend.ngram_count(q.tokens(order)) for q in queries]
+        counts = backend.ngram_count([q.tokens(order) for q in queries])
         scores = {q.candidate: (order, c) for q, c in zip(queries, counts)}
         if max(counts) > 0:
             return CorrectionDecision(
@@ -142,17 +142,28 @@ def unpruned_select(queries, backend, config):
 
 
 @pytest.fixture(scope="module")
-def synth_selection():
-    """A seeded synthetic index and the context queries of every non-word
-    error in transcripts cut from it and from fresh text, at windows 0-4."""
+def synth_texts():
+    """A seeded synthetic index and transcripts with non-word errors, cut
+    from it and from fresh text."""
     corpus = synth_corpus(8000, seed=21)
     index = build_index(corpus, corpus_id="synth-select")
     fresh = synth_corpus(3000, seed=22)
-    query_sets = []
+    texts = []
     for i in range(16):
         text = passage_of(corpus if i % 2 else fresh, 40, start_line=i)
         spec = CorruptionSpec(nonword_rate=0.1, seed=i)
-        transcript = tokenize(inject_errors(text, index, spec).corrupted_text)
+        texts.append(inject_errors(text, index, spec).corrupted_text)
+    return index, texts
+
+
+@pytest.fixture(scope="module")
+def synth_selection(synth_texts):
+    """The context queries of every non-word error in `synth_texts`, at
+    windows 0-4."""
+    index, texts = synth_texts
+    query_sets = []
+    for i, text in enumerate(texts):
+        transcript = tokenize(text)
         for error in detect_nonword_errors(transcript, index):
             cands = generate_candidates(error.token, index, k=8)
             if cands:
@@ -209,24 +220,47 @@ class TestSelectionContextBound:
         decision = select_correction(
             queries, backend, PipelineConfig(backoff_enabled=False))
         assert decision.chosen is None
-        assert backend.calls["ngram_count"] == 1
+        assert (backend.calls["ngram_count"], backend.queries) == (1, 1)
         backend = CountingBackend(worked_index)
         decision = select_correction(queries, backend)
         assert (decision.chosen, decision.backoff_order) == ("shows", 4)
-        # One lookup at order 5, the context and 8 candidates at order 4.
-        assert backend.calls["ngram_count"] == 1 + 1 + 8
+        # One call for the contexts of orders 5 to 2, none for order 5's
+        # candidates, one for the 8 candidates at order 4.
+        assert (backend.calls["ngram_count"], backend.queries) == \
+            (1 + 1, 4 + 8)
 
     def test_context_lookup_fault_propagates(self, worked_index):
         class FailingContext(CountingBackend):
-            def ngram_count(self, tokens):
-                if list(tokens) == ["of", "your", "favorite"]:
+            def ngram_count(self, queries):
+                if ["of", "your", "favorite"] in map(list, queries):
                     raise BackendError("lookup service down")
-                return self._inner.ngram_count(tokens)
+                return super().ngram_count(queries)
 
         queries = [ContextQuery(("zebra", "of", "your", "favorite"), w)
                    for w in ["shows", "haws"]]
         with pytest.raises(BackendError):
             select_correction(queries, FailingContext(worked_index))
+
+
+class TestLookupCalls:
+    @pytest.mark.parametrize("window", [0, 2, 4])
+    def test_call_budget(self, synth_texts, window):
+        # One ngram_count call for non-word detection; per error at most
+        # one for its contexts and one per backoff order tried.
+        index, texts = synth_texts
+        config = PipelineConfig(context_window=window)
+        errors = 0
+        for text in texts:
+            backend = CountingBackend(index)
+            result = correct_transcript(text, backend, config)
+            assert result == correct_transcript(text, index, config)
+            budget = 1 + sum(
+                1 + min(window, d.error.position) + 2 - d.backoff_order
+                for d in result.decisions if d.candidates)
+            assert 1 <= backend.calls["ngram_count"] <= budget
+            assert backend.calls["unigram_exists"] == 0
+            errors += len(result.decisions)
+        assert errors >= 16
 
 
 class TestCorrectTranscript:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from asrspell import (BackendError, CorruptionSpec, DetectedError, ErrorKind,
                       build_index, detect_nonword_errors,
                       detect_realword_suspects, generate_candidates,
                       inject_errors, normalize_token, tokenize)
+from asrspell.detect import _exempt
 from tests._synth import passage_of, synth_corpus
 from tests.conftest import WORKED_ERROR_TEXT, WORKED_SENTENCE
 
@@ -64,6 +66,15 @@ class TestNonwordDetection:
         errors = detect_nonword_errors(tokenize("42 shaws 3rd"), worked_index)
         assert [e.token for e in errors] == ["shaws"]
 
+    def test_exempt_iff_some_character_is_a_digit(self):
+        # _exempt skips the digit scan for alphabetic tokens: exact only
+        # while no character is both a letter and a digit.
+        for code in range(sys.maxunicode + 1):
+            c = chr(code)
+            assert _exempt(c) == c.isdigit(), hex(code)
+        for token in ["x\u00b2", "don't", "a\u0663b", "well-known", "abc"]:
+            assert _exempt(token) == any(c.isdigit() for c in token)
+
     def test_exhaustive_against_vocab_membership(self):
         rng = random.Random(13)
         letters = "abcdefghij"
@@ -81,6 +92,17 @@ class TestNonwordDetection:
             got = detect_nonword_errors(transcript, index)
             assert [e.position for e in got] == expected
             assert all(not index.unigram_exists(e.token) for e in got)
+
+    def test_one_lookup_call(self, worked_index):
+        backend = CountingBackend(worked_index)
+        text = "42 shaws and more shaws and qqz"
+        errors = detect_nonword_errors(tokenize(text), backend)
+        assert [e.position for e in errors] == [1, 4, 6]
+        assert backend.calls == {"ngram_count": 1}
+        assert backend.queries == 6  # one per token without a digit
+        backend = CountingBackend(worked_index)
+        assert detect_nonword_errors(tokenize("42 ..."), backend) == []
+        assert backend.calls == {}
 
 
 # Corpus where "shows" is overwhelmingly attested after "your favorite":
@@ -143,20 +165,30 @@ def unpruned_realword_suspects(transcript, backend, margin, window, k=8):
         if not backend.unigram_exists(token):
             continue
         prefix = transcript.tokens[max(0, i - window):i]
-        threshold = margin * max(backend.ngram_count(prefix + [token]), 1)
-        if any(backend.ngram_count(prefix + [cand.word]) >= threshold
-               for cand in generate_candidates(token, backend, k=k).ranked):
+        [own] = backend.ngram_count([prefix + [token]])
+        threshold = margin * max(own, 1)
+        cands = generate_candidates(token, backend, k=k).words()
+        if any(count >= threshold for count in backend.ngram_count(
+                [prefix + [cand] for cand in cands])):
             suspects.append(
                 DetectedError(i, token, ErrorKind.REALWORD_SUSPECT))
     return suspects
 
 
 class CountingBackend:
-    """Delegates to an index and counts calls per contract method."""
+    """Delegates to an index and counts calls per contract method, and
+    the queries of all ngram_count calls together."""
 
     def __init__(self, inner):
         self._inner = inner
         self.calls = Counter()
+        self.queries = 0
+
+    def ngram_count(self, queries):
+        queries = list(queries)
+        self.calls["ngram_count"] += 1
+        self.queries += len(queries)
+        return self._inner.ngram_count(queries)
 
     @property
     def max_order(self):
@@ -220,7 +252,8 @@ class TestRealwordContextBound:
         assert detect_realword_suspects(tokenize("hews shawls"), backend,
                                         margin=10, window=1) == []
         assert backend.calls["rank_by_shared_bigrams"] == 0
-        assert backend.calls["ngram_count"] == 2  # own count, context count
+        # One call: existence, own count and context count of "shawls".
+        assert (backend.calls["ngram_count"], backend.queries) == (1, 3)
 
     def test_frequent_context_still_ranks(self, realword_index):
         # "your favorite" occurs 25 times, enough for "shows" to beat
@@ -232,13 +265,16 @@ class TestRealwordContextBound:
                                             margin=10, window=4)
         assert [(s.position, s.token) for s in suspects] == [(5, "shawls")]
         assert backend.calls["rank_by_shared_bigrams"] == 1
+        # One call for the checked tokens, one for the candidates of
+        # "shawls".
+        assert backend.calls["ngram_count"] == 2
 
     def test_context_lookup_fault_propagates(self, realword_index):
         class FailingContext(CountingBackend):
-            def ngram_count(self, tokens):
-                if list(tokens) == ["your", "favorite"]:
+            def ngram_count(self, queries):
+                if ["your", "favorite"] in map(list, queries):
                     raise BackendError("lookup service down")
-                return self._inner.ngram_count(tokens)
+                return super().ngram_count(queries)
 
         with pytest.raises(BackendError):
             detect_realword_suspects(

@@ -1,3 +1,5 @@
+import http.client
+import http.server
 import logging
 import random
 import socket
@@ -14,7 +16,8 @@ import pytest
 from asrspell import (BackendError, PipelineConfig, RemoteBackend,
                       build_index, char_bigrams, correct_transcript,
                       generate_candidates, serve)
-from asrspell.service import POSTINGS_CAP
+from asrspell import service
+from asrspell.service import MAX_BATCH_BYTES, POSTINGS_CAP
 from tests.conftest import WORKED_ERROR_TEXT
 
 
@@ -41,9 +44,19 @@ def remote(base_url):
     backend.close()
 
 
-def fetch(url):
-    with urllib.request.urlopen(url, timeout=5) as resp:
+def fetch(url, data=None):
+    """Status and body of a GET, or of a POST when `data` is given."""
+    with urllib.request.urlopen(url, data=data, timeout=5) as resp:
         return resp.status, resp.read().decode("utf-8")
+
+
+def fetch_error(url, data=None):
+    """Status and body of a request the server refuses. The error holds
+    the response and its socket open until it is closed."""
+    with pytest.raises(urllib.error.HTTPError) as err:
+        fetch(url, data)
+    with err.value as resp:
+        return resp.code, resp.read().decode("utf-8")
 
 
 class TestProtocol:
@@ -60,9 +73,7 @@ class TestProtocol:
         assert fetch(f"{base_url}/v1/unigram?q=shows") == (200, "7\n")
 
     def test_six_tokens_rejected(self, base_url):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            fetch(f"{base_url}/v1/ngram?q=a+b+c+d+e+f")
-        assert err.value.code == 400
+        assert fetch_error(f"{base_url}/v1/ngram?q=a+b+c+d+e+f")[0] == 400
 
     def test_postings_sorted(self, base_url):
         status, body = fetch(f"{base_url}/v1/postings?q=aw")
@@ -85,15 +96,13 @@ class TestProtocol:
         "/v1/ngram?q=a++b",
     ])
     def test_malformed_queries_get_400_with_reason(self, base_url, path):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            fetch(base_url + path)
-        assert err.value.code == 400
-        assert err.value.read().decode().strip()
+        status, reason = fetch_error(base_url + path)
+        assert status == 400
+        assert reason.strip()
 
     def test_unknown_endpoint_404(self, base_url):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            fetch(f"{base_url}/v2/everything")
-        assert err.value.code == 404
+        assert fetch_error(f"{base_url}/v2/everything")[0] == 404
+        assert fetch_error(f"{base_url}/v2/everything", b"shows\n")[0] == 404
 
     def test_repeated_queries_identical(self, base_url):
         bodies = {fetch(f"{base_url}/v1/ngram?q=favorite+shows")[1]
@@ -123,8 +132,11 @@ class TestRemoteBackend:
         queries = [["shows"], ["favorite", "shows"],
                    ["episodes", "of", "your", "favorite", "shows"],
                    ["episodes", "of", "your", "favorite", "haws"]]
+        assert remote.ngram_count(queries) == \
+            worked_index.ngram_count(queries)
         for q in queries:
-            assert remote.ngram_count(q) == worked_index.ngram_count(q)
+            assert remote.ngram_count([q]) == worked_index.ngram_count([q])
+        assert remote.ngram_count([]) == []
         for gram in ["aw", "sh", "ws", "zq"]:
             assert remote.unigrams_containing_bigram(gram) == \
                 worked_index.unigrams_containing_bigram(gram)
@@ -135,7 +147,21 @@ class TestRemoteBackend:
 
     def test_order_validation_mirrors_local(self, remote):
         with pytest.raises(ValueError):
-            remote.ngram_count(["a"] * 6)
+            remote.ngram_count([["a"] * 6])
+        with pytest.raises(ValueError):
+            remote.ngram_count([[]])
+
+    @pytest.mark.parametrize("queries", [
+        ["shows"], [("favorite", "shows"), "shows"], "shows"])
+    def test_string_query_rejected(self, remote, queries):
+        with pytest.raises(ValueError, match="not the string"):
+            remote.ngram_count(queries)
+
+    @pytest.mark.parametrize("token", ["", "two words", "line\nend"])
+    def test_token_that_breaks_the_line_format_rejected(self, remote,
+                                                        token):
+        with pytest.raises(ValueError, match="space or line end"):
+            remote.ngram_count([("favorite", token)])
 
     def test_bigram_validation(self, remote):
         with pytest.raises(ValueError):
@@ -260,17 +286,16 @@ class TestCandidatesEndpoint:
         "b=aw&k=8&k=9",
     ])
     def test_malformed_get_400_with_reason(self, base_url, query):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            fetch(f"{base_url}/v1/candidates?{query}")
-        assert err.value.code == 400
-        assert err.value.read().decode().strip()
+        status, reason = fetch_error(f"{base_url}/v1/candidates?{query}")
+        assert status == 400
+        assert reason.strip()
 
 
 class TestConnections:
     def test_lookups_share_one_connection(self, counted, fresh,
                                           worked_index):
         for _ in range(20):
-            assert fresh.ngram_count(["favorite", "shows"]) == 7
+            assert fresh.ngram_count([["favorite", "shows"]]) == [7]
             assert fresh.unigram_exists("haws")
             assert fresh.unigrams_containing_bigram("aw") == \
                 worked_index.unigrams_containing_bigram("aw")
@@ -279,29 +304,29 @@ class TestConnections:
         assert len(counted.accepted) == 1
 
     def test_connection_survives_a_400(self, counted, fresh):
-        assert fresh.ngram_count(["shows"]) == 7
+        assert fresh.ngram_count([["shows"]]) == [7]
         with pytest.raises(ValueError, match="rejected query"):
             fresh.rank_by_shared_bigrams(["abc"], k=3)
         with pytest.raises(ValueError, match="rejected query"):
             fresh.rank_by_shared_bigrams(["aw"], k=0)
-        assert fresh.ngram_count(["favorite", "shows"]) == 7
+        assert fresh.ngram_count([["favorite", "shows"]]) == [7]
         assert len(counted.accepted) == 1
 
     def test_restarted_server_is_reached_again(self, worked_index):
         first = _Server(worked_index)
         remote = RemoteBackend(first.url)
-        assert remote.ngram_count(["shows"]) == 7
+        assert remote.ngram_count([["shows"]]) == [7]
         first.stop()
         second = _Server(worked_index, port=first.port)
         try:
-            assert remote.ngram_count(["shows"]) == 7
-            assert remote.ngram_count(["favorite", "shows"]) == 7
+            assert remote.ngram_count([["shows"]]) == [7]
+            assert remote.ngram_count([["favorite", "shows"]]) == [7]
             assert len(second.accepted) == 1
         finally:
             second.stop()
         # Nothing listens any more: a fault, never a zero count.
         with pytest.raises(BackendError):
-            remote.ngram_count(["shows"])
+            remote.ngram_count([["shows"]])
         with pytest.raises(BackendError):
             remote.rank_by_shared_bigrams(["aw"], k=3)
         remote.close()
@@ -309,7 +334,7 @@ class TestConnections:
     def test_threads_share_one_backend(self, counted, fresh,
                                        worked_index):
         words = sorted(worked_index.vocab) + ["shaws", "hwas", "qq"]
-        expected = {w: (worked_index.ngram_count([w]),
+        expected = {w: (worked_index.ngram_count([[w]]),
                         generate_candidates(w, worked_index).ranked)
                     for w in words}
         results, errors = [], []
@@ -319,7 +344,7 @@ class TestConnections:
                 for i in range(40):
                     w = words[(offset + i) % len(words)]
                     results.append(
-                        (w, (fresh.ngram_count([w]),
+                        (w, (fresh.ngram_count([[w]]),
                              generate_candidates(w, fresh).ranked)))
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
@@ -386,6 +411,206 @@ class TestConnections:
                    for r in caplog.records)
 
 
+def _post_raw(port, headers, body=b""):
+    """Status, body and Connection header of one hand-made POST."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+    try:
+        conn.putrequest("POST", "/v1/ngram")
+        for name, value in headers:
+            conn.putheader(name, value)
+        conn.endheaders(body)
+        with conn.getresponse() as resp:
+            return (resp.status, resp.read().decode("utf-8"),
+                    resp.getheader("Connection"))
+    finally:
+        conn.close()
+
+
+class TestBatchEndpoint:
+    def test_matches_local_for_mixed_orders(self, base_url, worked_index):
+        rng = random.Random(31)
+        words = sorted(worked_index.vocab) + ["shaws", "zebra"]
+        sentence = "watch episodes of your favorite shows and more".split()
+        queries = []
+        for _ in range(300):
+            order = rng.randint(1, 5)
+            if rng.random() < 0.5:
+                start = rng.randint(0, len(sentence) - order)
+                queries.append(sentence[start:start + order])
+            else:
+                queries.append([rng.choice(words) for _ in range(order)])
+        body = "".join(" ".join(q) + "\n" for q in queries).encode()
+        status, reply = fetch(f"{base_url}/v1/ngram", body)
+        assert status == 200
+        assert reply == "".join(
+            f"{c}\n" for c in worked_index.ngram_count(queries))
+        assert {len(q) for q in queries} == {1, 2, 3, 4, 5}
+        assert "0\n" in reply and "7\n" in reply
+
+    def test_last_line_end_is_optional(self, base_url):
+        assert fetch(f"{base_url}/v1/ngram", b"shows\nfavorite shows") == \
+            (200, "7\n7\n")
+
+    def test_empty_body_empty_reply(self, base_url):
+        assert fetch(f"{base_url}/v1/ngram", b"") == (200, "")
+
+    @pytest.mark.parametrize("body", [
+        b"\n", b"shows\n\nshows\n", b"a b c d e f\n", b"favorite  shows\n",
+        b" shows\n", b"shows\xff\n",
+    ])
+    def test_malformed_batch_gets_400_with_reason(self, base_url, body):
+        status, reason = fetch_error(f"{base_url}/v1/ngram", body)
+        assert status == 400
+        assert reason.strip()
+
+    def test_order_above_max_order_gets_400(self):
+        srv = _Server(build_index("a b c d", max_order=3))
+        try:
+            status, reason = fetch_error(f"{srv.url}/v1/ngram",
+                                         b"a b c\na b c d\n")
+            assert status == 400
+            assert reason.startswith("line 2: ")
+        finally:
+            srv.stop()
+
+    def test_missing_length_gets_411(self, counted):
+        assert _post_raw(counted.port, []) == \
+            (411, "Content-Length required\n", "close")
+
+    @pytest.mark.parametrize("length", ["-1", "1e3", "x"])
+    def test_bad_length_gets_400(self, counted, length):
+        status, _, connection = _post_raw(counted.port,
+                                          [("Content-Length", length)])
+        assert (status, connection) == (400, "close")
+
+    def test_above_max_batch_bytes_gets_413(self, counted):
+        # The body is never sent: the server answers from the header.
+        status, reason, connection = _post_raw(
+            counted.port, [("Content-Length", str(MAX_BATCH_BYTES + 1))])
+        assert (status, connection) == (413, "close")
+        assert str(MAX_BATCH_BYTES) in reason
+
+    def test_limit_is_inclusive(self, base_url):
+        line = b"shows\n"
+        body = line * (MAX_BATCH_BYTES // len(line)) + \
+            b"x" * (MAX_BATCH_BYTES % len(line) - 1) + b"\n"
+        assert len(body) == MAX_BATCH_BYTES
+        status, reply = fetch(f"{base_url}/v1/ngram", body)
+        assert status == 200
+        assert reply.splitlines() == \
+            ["7"] * (MAX_BATCH_BYTES // len(line)) + ["0"]
+
+    def test_connection_survives_a_rejected_batch(self, counted):
+        conn = http.client.HTTPConnection("127.0.0.1", counted.port,
+                                          timeout=5)
+        try:
+            for body, expected in [(b"shows\n", (200, b"7\n")),
+                                   (b"\n", (400, None)),
+                                   (b"favorite shows\n", (200, b"7\n"))]:
+                conn.request("POST", "/v1/ngram", body=body)
+                with conn.getresponse() as resp:
+                    got = resp.status, resp.read()
+                assert got[0] == expected[0]
+                assert expected[1] in (None, got[1])
+        finally:
+            conn.close()
+        assert len(counted.accepted) == 1
+
+    def test_large_batch_is_split(self, counted, fresh, worked_index,
+                                  monkeypatch):
+        rng = random.Random(32)
+        words = sorted(worked_index.vocab)
+        queries = [[rng.choice(words) for _ in range(rng.randint(1, 5))]
+                   for _ in range(8000)]
+        size = sum(len(" ".join(q)) + 1 for q in queries)
+        assert size > 2 * MAX_BATCH_BYTES
+        bodies = []
+        request = fresh._request
+
+        def recording(method, target, body):
+            if method == "POST":
+                bodies.append(body)
+            return request(method, target, body)
+
+        monkeypatch.setattr(fresh, "_request", recording)
+        assert fresh.ngram_count(queries) == worked_index.ngram_count(queries)
+        assert len(bodies) == 3
+        assert all(len(body) <= MAX_BATCH_BYTES for body in bodies)
+        assert b"".join(bodies).decode().splitlines() == \
+            [" ".join(q) for q in queries]
+        assert len(counted.accepted) == 1
+
+    def test_query_above_the_limit_rejected(self, remote):
+        with pytest.raises(ValueError, match="batch limit"):
+            remote.ngram_count([["a" * MAX_BATCH_BYTES]])
+
+
+@pytest.fixture
+def fake_reply():
+    """A server that answers every POST with the body a test sets, and
+    the manifest of a 5-gram index."""
+    replies = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_GET(self):
+            self._send(b"max_order\t5\n")
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self._send(replies[0])
+
+        def _send(self, data):
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    remote = RemoteBackend(f"http://127.0.0.1:{srv.server_address[1]}")
+    yield remote, replies
+    remote.close()
+    srv.shutdown()
+    srv.server_close()
+    thread.join(timeout=5)
+
+
+@pytest.mark.parametrize("reply", [
+    b"", b"7\n", b"7\n0\n3\n", b"7\n0", b"7\n0\n\n", b"7\nseven\n",
+])
+def test_reply_of_wrong_shape_is_a_backend_error(fake_reply, reply):
+    remote, replies = fake_reply
+    replies.append(b"7\n0\n")
+    assert remote.ngram_count([["shows"], ["shaws"]]) == [7, 0]
+    replies[0] = reply
+    with pytest.raises(BackendError, match="/v1/ngram"):
+        remote.ngram_count([["shows"], ["shaws"]])
+
+
+def test_stalled_body_leaves_no_traceback(worked_index, monkeypatch,
+                                          capfd, caplog):
+    caplog.set_level(logging.DEBUG, logger="asrspell.service")
+    monkeypatch.setattr(service, "IDLE_TIMEOUT_S", 0.2)
+    srv = _Server(worked_index)
+    try:
+        with socket.create_connection(("127.0.0.1", srv.port)) as sock:
+            sock.sendall(b"POST /v1/ngram HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: 20\r\n\r\nshows\n")
+            sock.settimeout(5)
+            assert sock.recv(4096) == b""  # closed, with no reply
+    finally:
+        srv.stop()
+    assert "Traceback" not in capfd.readouterr().err
+    assert any("Request timed out" in r.getMessage()
+               for r in caplog.records)
+
+
 def _capped_vocabulary(seed):
     """A few thousand words over four letters: the largest postings list
     is longer than the service's cap."""
@@ -442,3 +667,34 @@ class TestAboveThePostingsCap:
             assert over_http.corrected_text.encode() == \
                 local.corrected_text.encode()
             assert over_http.decisions == local.decisions
+
+
+@pytest.mark.parametrize("realword", [False, True])
+def test_long_transcript_byte_identical(realword):
+    """A 10k-token transcript whose non-word batch alone is larger than
+    one request may carry."""
+    rng = random.Random(41)
+    vocab = sorted({"".join(rng.choice("abcdefghij")
+                            for _ in range(rng.randint(8, 12)))
+                    for _ in range(9000)})
+    tokens = vocab + rng.sample(vocab, 3000)
+    rng.shuffle(tokens)
+    lines = [" ".join(tokens[i:i + 12]) for i in range(0, len(tokens), 12)]
+    index = build_index(lines, corpus_id="long")
+    words = " ".join(lines).split()[:10_000]
+    for pos in range(500, len(words), 1000):
+        words[pos] = words[pos][:-1] + "z"
+    assert sum(len(w) + 1 for w in set(words)) > MAX_BATCH_BYTES
+    text = " ".join(words)
+    config = PipelineConfig(realword_enabled=realword)
+    srv = _Server(index)
+    remote = RemoteBackend(srv.url)
+    try:
+        local = correct_transcript(text, index, config)
+        over_http = correct_transcript(text, remote, config)
+    finally:
+        remote.close()
+        srv.stop()
+    assert over_http.corrected_text.encode() == local.corrected_text.encode()
+    assert over_http.decisions == local.decisions
+    assert sum(d.chosen is not None for d in local.decisions) >= 8

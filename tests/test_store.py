@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from asrspell import (IndexFormatError, build_index, load_index,
-                      normalize_token, save_index)
+from asrspell import (IndexFormatError, NgramIndex, build_index,
+                      load_index, normalize_token, save_index)
 from asrspell.store import MANIFEST_FILE
 
 
@@ -36,27 +36,25 @@ class TestNormalizeToken:
 
 class TestBuildIndex:
     def test_manual_counts(self, tiny_index):
-        assert tiny_index.ngram_count(["the"]) == 2
-        assert tiny_index.ngram_count(["the", "cat"]) == 2
-        assert tiny_index.ngram_count(["the", "cat", "sat"]) == 1
-        assert tiny_index.ngram_count(["the", "cat", "ran"]) == 1
+        assert tiny_index.ngram_count(
+            [["the"], ["the", "cat"], ["the", "cat", "sat"],
+             ["the", "cat", "ran"]]) == [2, 2, 1, 1]
 
     def test_empty_corpus(self):
         index = build_index("")
         assert len(index.vocab) == 0
-        assert index.ngram_count(["anything"]) == 0
+        assert index.ngram_count([["anything"]]) == [0]
         assert index.manifest.token_count == 0
 
     def test_five_gram_window(self):
         index = build_index("a b c d e f", max_order=5)
-        assert index.ngram_count(["a", "b", "c", "d", "e"]) == 1
-        assert index.ngram_count(["b", "c", "d", "e", "f"]) == 1
-        assert index.ngram_count(["a", "b", "c", "d", "f"]) == 0
+        assert index.ngram_count([["a", "b", "c", "d", "e"],
+                                  ["b", "c", "d", "e", "f"],
+                                  ["a", "b", "c", "d", "f"]]) == [1, 1, 0]
 
     def test_ngrams_never_cross_lines(self):
         index = build_index("a b\nc d")
-        assert index.ngram_count(["b", "c"]) == 0
-        assert index.ngram_count(["a", "b"]) == 1
+        assert index.ngram_count([["b", "c"], ["a", "b"]]) == [0, 1]
 
     def test_max_order_bounds(self):
         with pytest.raises(ValueError):
@@ -80,16 +78,31 @@ class TestLookups:
     def test_membership_count_coherence(self, worked_index):
         for word in list(worked_index.vocab) + ["shaws", "zzz"]:
             assert worked_index.unigram_exists(word) == \
-                (worked_index.ngram_count([word]) >= 1)
+                (worked_index.ngram_count([[word]]) >= [1])
 
     def test_absent_five_gram_is_zero(self, worked_index):
-        assert worked_index.ngram_count(["a", "b", "c", "d", "e"]) == 0
+        assert worked_index.ngram_count([["a", "b", "c", "d", "e"]]) == [0]
 
     def test_order_above_max_rejected(self, worked_index):
         with pytest.raises(ValueError):
-            worked_index.ngram_count(["a"] * 6)
+            worked_index.ngram_count([["a"] * 6])
         with pytest.raises(ValueError):
-            build_index("a b c", max_order=2).ngram_count(["a", "b", "c"])
+            build_index("a b c", max_order=2).ngram_count([["a", "b", "c"]])
+        with pytest.raises(ValueError):
+            worked_index.ngram_count([[]])
+
+    @pytest.mark.parametrize("queries", [
+        ["shows"], [("favorite", "shows"), "shows"], "shows"])
+    def test_string_query_rejected(self, worked_index, queries):
+        # An old-style single query must not count its characters.
+        with pytest.raises(ValueError, match="not the string"):
+            worked_index.ngram_count(queries)
+
+    def test_batch_in_query_order(self, worked_index):
+        queries = [("favorite", "shows"), ("shaws",), ("shows",),
+                   ("favorite", "shows")]
+        assert worked_index.ngram_count(queries) == [7, 0, 7, 7]
+        assert worked_index.ngram_count([]) == []
 
     def test_postings_sorted(self):
         index = build_index("saws sawn maws haws hawk shows")
@@ -141,7 +154,7 @@ class TestPersistence:
         loaded = load_index(tmp_path / "idx")
         for table in tiny_index._tables:
             for joined, count in table.items():
-                assert loaded.ngram_count(joined.split(" ")) == count
+                assert loaded.ngram_count([joined.split(" ")]) == [count]
         assert loaded.manifest == tiny_index.manifest
 
     def test_empty_round_trip(self, tmp_path):
@@ -172,6 +185,28 @@ class TestPersistence:
                 assert line == line.rstrip()
                 keys.append(tokens)
             assert keys == sorted(keys)
+
+    def test_tokens_below_the_space_sort_by_token_sequence(self, tmp_path):
+        # Tokens that hold characters below the space, "\0" among them,
+        # are where the joined string's order and the token order differ.
+        tokens = ["a", "a\x01", "\x00b", "b", "a\x00", "\x00", "ab",
+                  "\x1fz", "a!"]
+        rng = random.Random(9)
+        tables = [dict.fromkeys(tokens, 1)]
+        for k in range(2, 6):
+            tables.append({" ".join(rng.choice(tokens) for _ in range(k)):
+                           rng.randint(1, 9) for _ in range(300)})
+        index = NgramIndex(tables, "below-space", token_count=len(tokens))
+        save_index(index, tmp_path / "idx")
+        for k, table in enumerate(tables, start=1):
+            data = (tmp_path / "idx" / f"{k}gram.tsv").read_text(
+                encoding="utf-8")
+            keys = [line.split("\t")[0] for line in data.split("\n")[:-1]]
+            assert keys == sorted(table, key=lambda s: s.split(" "))
+            if k > 1:
+                assert keys != sorted(table)
+        loaded = load_index(tmp_path / "idx")
+        assert loaded.distinct_per_order() == index.distinct_per_order()
 
     def test_missing_gram_file(self, tiny_index, tmp_path):
         save_index(tiny_index, tmp_path / "idx")
@@ -228,7 +263,7 @@ def test_concurrent_lookups(worked_index):
 
     def worker():
         ok = all(
-            worked_index.ngram_count(["favorite", "shows"]) == 7
+            worked_index.ngram_count([["favorite", "shows"]]) == [7]
             and worked_index.unigram_exists("shows")
             and worked_index.unigrams_containing_bigram("aw")
             for _ in range(200))
