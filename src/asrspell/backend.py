@@ -22,8 +22,10 @@ class Backend(Protocol):
     sequence of 1..max_order tokens, and returns one raw corpus count per
     query, in order. A query given as a bare string is a ValueError, so a
     string is never counted as a sequence of characters. The pipeline
-    makes one call per stage, which over HTTP is one request per
-    64 KiB of queries. ``unigram_exists(token)`` equals a count above 0.
+    makes one call per stage: one for non-word detection, at most two
+    for the real-word pass, and one per error's selection, every backoff
+    order included. Over HTTP a call is one request per 64 KiB of
+    queries. ``unigram_exists(token)`` equals a count above 0.
 
     ``rank_by_shared_bigrams`` returns the top ``k`` vocabulary words by
     number of the distinct character ``bigrams`` they contain, then corpus

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from asrspell.backend import count_distinct
 from asrspell.candidates import CandidateSet, generate_candidates
 from asrspell.detect import (DetectedError, ErrorKind, Transcript,
                              detect_nonword_errors, detect_realword_suspects,
@@ -91,46 +90,34 @@ def select_correction(queries: list[ContextQuery], backend,
     that cannot happen for in-vocabulary candidates, because order 1 is
     the candidate's own unigram count.
 
-    Within a line, every occurrence of ``context + word`` is an occurrence
-    of ``context``, so ``count(context + word) <= count(context)``. The
-    distinct contexts of every order are counted in one backend call
-    first; a query whose context never occurs scores 0 with no count of
-    its own. Each order tried then costs at most one call for the rest.
-    The scores equal those of counting every query.
+    Every query at every order that may be tried goes to the backend in
+    one ``ngram_count`` call, so an error costs one lookup round trip
+    however far it backs off. The orders are then walked top-down over
+    those counts, exactly as if each were counted in turn. No context
+    needs counting first: every occurrence of ``context + word`` is an
+    occurrence of ``context``, so a query whose context never occurs
+    already counts 0.
     """
     if not queries:
         raise ValueError("queries must be non-empty")
     config = config or PipelineConfig()
     full_order = queries[0].order
     orders = range(full_order, 0, -1) if config.backoff_enabled else [full_order]
-    by_prefix: dict[tuple[str, ...], list[int]] = {}
-    for i, q in enumerate(queries):
-        by_prefix.setdefault(q.prefix, []).append(i)
-    contexts = count_distinct(backend, (
-        context for order in orders for members in by_prefix.values()
-        if (context := queries[members[0]].context(order))))
-    scores: dict[str, tuple[int, int]] = {}
-    for order in orders:
-        live: list[tuple[str, ...]] = []
-        positions: list[int] = []
-        for members in by_prefix.values():
-            context = queries[members[0]].context(order)
-            if not context or contexts[context] > 0:
-                live += [(*context, queries[i].candidate) for i in members]
-                positions += members
-        counts = [0] * len(queries)
-        if live:
-            for i, count in zip(positions, backend.ngram_count(live),
-                                strict=True):
-                counts[i] = count
-        scores = {q.candidate: (order, c) for q, c in zip(queries, counts)}
-        best = max(counts)
-        if best > 0:
-            chosen = queries[counts.index(best)].candidate
-            return CorrectionDecision(chosen=chosen, scores=scores,
-                                      backoff_order=order)
-    return CorrectionDecision(chosen=None, scores=scores,
-                              backoff_order=orders[-1])
+    # tokens[-order:] keeps the whole query when order exceeds its own.
+    whole = [(*q.prefix, q.candidate) for q in queries]
+    counts = backend.ngram_count(
+        [tokens[-order:] for order in orders for tokens in whole])
+    n = len(queries)
+    for at, order in enumerate(orders):
+        row = counts[at * n:(at + 1) * n]
+        best = max(row)
+        if best > 0 or order == orders[-1]:
+            break
+    return CorrectionDecision(
+        chosen=queries[row.index(best)].candidate if best > 0 else None,
+        scores={q.candidate: (order, c)
+                for q, c in zip(queries, row, strict=True)},
+        backoff_order=order)
 
 
 def correct_transcript(text: str, backend,

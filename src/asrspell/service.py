@@ -272,32 +272,47 @@ class RemoteBackend:
         return self.ngram_count([(token,)])[0] > 0
 
     def ngram_count(self, queries: Sequence[Sequence[str]]) -> list[int]:
+        max_order = self.max_order
         lines = []
         for tokens in queries:
-            check_query(tokens, self.max_order)
-            if any(not t or " " in t or "\n" in t for t in tokens):
+            if isinstance(tokens, str) or not 0 < len(tokens) <= max_order:
+                check_query(tokens, max_order)  # raises the ValueError
+            line = " ".join(tokens)
+            # A space inside a token shows as one space too many.
+            if ("" in tokens or "\n" in line
+                    or line.count(" ") != len(tokens) - 1):
                 raise ValueError(f"tokens must be non-empty and hold no "
                                  f"space or line end: {list(tokens)!r}")
-            line = (" ".join(tokens) + "\n").encode("utf-8")
+            lines.append(line)
+        if not lines:
+            return []
+        body = ("\n".join(lines) + "\n").encode("utf-8")
+        if len(body) <= MAX_BATCH_BYTES:
+            return self._post_counts(body, len(lines))
+        encoded = [(line + "\n").encode("utf-8") for line in lines]
+        for line in encoded:
             if len(line) > MAX_BATCH_BYTES:
                 raise ValueError(f"query of {len(line)} bytes exceeds the "
                                  f"{MAX_BATCH_BYTES}-byte batch limit")
-            lines.append(line)
         counts: list[int] = []
-        for batch in _batches(lines, MAX_BATCH_BYTES):
-            body = self._call("POST", "/v1/ngram", body=b"".join(batch))
-            values = body.split("\n")
-            if values.pop() != "" or len(values) != len(batch):
-                raise BackendError(
-                    f"{self._base}/v1/ngram: {len(batch)} queries but the "
-                    f"reply is {body[:200]!r}")
-            try:
-                counts += map(int, values)
-            except ValueError:
-                raise BackendError(
-                    f"{self._base}/v1/ngram: non-numeric count in "
-                    f"{body[:200]!r}") from None
+        for batch in _batches(encoded, MAX_BATCH_BYTES):
+            counts += self._post_counts(b"".join(batch), len(batch))
         return counts
+
+    def _post_counts(self, body: bytes, expected: int) -> list[int]:
+        """The counts of one POST /v1/ngram body of `expected` queries."""
+        reply = self._call("POST", "/v1/ngram", body=body)
+        values = reply.split("\n")
+        if values.pop() != "" or len(values) != expected:
+            raise BackendError(
+                f"{self._base}/v1/ngram: {expected} queries but the "
+                f"reply is {reply[:200]!r}")
+        try:
+            return list(map(int, values))
+        except ValueError:
+            raise BackendError(
+                f"{self._base}/v1/ngram: non-numeric count in "
+                f"{reply[:200]!r}") from None
 
     def unigrams_containing_bigram(self, bigram: str) -> list[str]:
         if len(bigram) != 2:

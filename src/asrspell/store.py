@@ -119,9 +119,11 @@ class NgramIndex:
     def ngram_count(self, queries: Sequence[Sequence[str]]) -> list[int]:
         """The count of each query, a sequence of 1..max_order tokens."""
         tables = self._tables
+        max_order = len(tables)
         counts = []
         for tokens in queries:
-            check_query(tokens, len(tables))
+            if isinstance(tokens, str) or not 0 < len(tokens) <= max_order:
+                check_query(tokens, max_order)  # raises the ValueError
             counts.append(tables[len(tokens) - 1].get(" ".join(tokens), 0))
         return counts
 

@@ -1,15 +1,20 @@
+import logging
 import random
+from collections import Counter
 
 import pytest
 
 from asrspell import (BackendError, CorruptionSpec, PipelineConfig,
-                      build_context_queries, build_index, correct_transcript,
-                      detect_nonword_errors, generate_candidates,
-                      inject_errors, select_correction, tokenize)
+                      RemoteBackend, build_context_queries, build_index,
+                      correct_transcript, detect_nonword_errors,
+                      generate_candidates, inject_errors, select_correction,
+                      tokenize)
 from asrspell.correct import ContextQuery, CorrectionDecision
+from asrspell.detect import _exempt
 from tests._synth import passage_of, synth_corpus
 from tests.conftest import WORKED_ERROR_TEXT, WORKED_SENTENCE
 from tests.test_detect import CountingBackend
+from tests.test_service import _Server
 
 CORRECTED = WORKED_SENTENCE  # what the error text must become
 
@@ -220,19 +225,19 @@ class TestSelectionContextBound:
         decision = select_correction(
             queries, backend, PipelineConfig(backoff_enabled=False))
         assert decision.chosen is None
-        assert (backend.calls["ngram_count"], backend.queries) == (1, 1)
+        assert (backend.calls["ngram_count"], backend.queries) == (1, 8)
         backend = CountingBackend(worked_index)
         decision = select_correction(queries, backend)
         assert (decision.chosen, decision.backoff_order) == ("shows", 4)
-        # One call for the contexts of orders 5 to 2, none for order 5's
-        # candidates, one for the 8 candidates at order 4.
-        assert (backend.calls["ngram_count"], backend.queries) == \
-            (1 + 1, 4 + 8)
+        # One call for the 8 candidates at each of the orders 5 to 1.
+        assert (backend.calls["ngram_count"], backend.queries) == (1, 40)
 
     def test_context_lookup_fault_propagates(self, worked_index):
         class FailingContext(CountingBackend):
             def ngram_count(self, queries):
-                if ["of", "your", "favorite"] in map(list, queries):
+                queries = list(queries)
+                if any(tuple(q[:-1]) == ("of", "your", "favorite")
+                       for q in queries):
                     raise BackendError("lookup service down")
                 return super().ngram_count(queries)
 
@@ -245,8 +250,9 @@ class TestSelectionContextBound:
 class TestLookupCalls:
     @pytest.mark.parametrize("window", [0, 2, 4])
     def test_call_budget(self, synth_texts, window):
-        # One ngram_count call for non-word detection; per error at most
-        # one for its contexts and one per backoff order tried.
+        # One ngram_count call for non-word detection when some token is
+        # checked, and one per error with candidates, however far it
+        # backs off.
         index, texts = synth_texts
         config = PipelineConfig(context_window=window)
         errors = 0
@@ -254,13 +260,50 @@ class TestLookupCalls:
             backend = CountingBackend(index)
             result = correct_transcript(text, backend, config)
             assert result == correct_transcript(text, index, config)
-            budget = 1 + sum(
-                1 + min(window, d.error.position) + 2 - d.backoff_order
-                for d in result.decisions if d.candidates)
-            assert 1 <= backend.calls["ngram_count"] <= budget
+            checked = any(not _exempt(t) for t in tokenize(text).tokens)
+            assert backend.calls["ngram_count"] == checked + sum(
+                1 for d in result.decisions if d.candidates)
             assert backend.calls["unigram_exists"] == 0
             errors += len(result.decisions)
         assert errors >= 16
+
+    def test_one_request_per_stage_over_http(self, synth_texts, caplog):
+        # Counted on the server, from its request log: one count batch
+        # per transcript for detection, then one candidate ranking and
+        # one count batch per error.
+        index, texts = synth_texts
+        srv = _Server(index)
+        remote = RemoteBackend(srv.url)
+        caplog.set_level(logging.DEBUG, logger="asrspell.service")
+        total = 0
+        try:
+            # The manifest request that reads max_order goes first.
+            assert remote.max_order == index.max_order
+            for text in texts:
+                caplog.clear()
+                result = correct_transcript(text, remote)
+                assert result == correct_transcript(text, index)
+                requests = Counter(
+                    _method_and_path(r.getMessage()) for r in caplog.records
+                    if r.name == "asrspell.service")
+                errors = len(result.decisions)
+                assert errors == sum(1 for d in result.decisions
+                                     if d.candidates)
+                assert requests == Counter({
+                    ("POST", "/v1/ngram"): 1 + errors,
+                    ("GET", "/v1/candidates"): errors})
+                total += errors
+        finally:
+            remote.close()
+            srv.stop()
+        assert total >= 16
+
+
+def _method_and_path(message):
+    """Method and path of a service log line such as
+    '127.0.0.1 "GET /v1/candidates?b=sh&k=8 HTTP/1.1" 200 -'."""
+    method, target, _ = message.split('"')[1].split(" ")
+    return method, target.partition("?")[0]
 
 
 class TestCorrectTranscript:

@@ -1,15 +1,18 @@
 import http.client
 import http.server
 import logging
+import os
 import random
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -698,3 +701,45 @@ def test_long_transcript_byte_identical(realword):
     assert over_http.corrected_text.encode() == local.corrected_text.encode()
     assert over_http.decisions == local.decisions
     assert sum(d.chosen is not None for d in local.decisions) >= 8
+
+
+def test_query_checks_hold_under_python_O():
+    """Both ngram_count implementations test a query's shape inline and
+    must reject the same queries when assert statements are stripped."""
+    code = """if True:
+        import threading
+        from asrspell import RemoteBackend, build_index, serve
+        index = build_index(["your favorite shows"], max_order=3)
+        srv = serve(index, port=0)
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
+        remote = RemoteBackend(f"http://127.0.0.1:{srv.server_address[1]}")
+        queries = {"string": "shows", "order 0": (),
+                   "order 4": ("your",) * 4, "space": ("your favorite",),
+                   "line end": ("shows\\n",)}
+        for backend in (index, remote):
+            for name, query in queries.items():
+                try:
+                    backend.ngram_count([("shows",), query])
+                except ValueError as exc:
+                    print(f"{type(backend).__name__} {name}: {exc}")
+        srv.shutdown()
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "NgramIndex string: a query is a sequence of tokens, not the "
+        "string 'shows'",
+        "NgramIndex order 0: query order 0 outside 1..3",
+        "NgramIndex order 4: query order 4 outside 1..3",
+        "RemoteBackend string: a query is a sequence of tokens, not the "
+        "string 'shows'",
+        "RemoteBackend order 0: query order 0 outside 1..3",
+        "RemoteBackend order 4: query order 4 outside 1..3",
+        "RemoteBackend space: tokens must be non-empty and hold no space "
+        "or line end: ['your favorite']",
+        "RemoteBackend line end: tokens must be non-empty and hold no "
+        "space or line end: ['shows\\n']",
+    ]
