@@ -46,13 +46,3 @@ class Backend(Protocol):
     def rank_by_shared_bigrams(self, bigrams: Iterable[str], k: int,
                                exclude: str | None = None
                                ) -> list[Candidate]: ...
-
-
-def count_distinct(backend: Backend, queries: Iterable[tuple[str, ...]]
-                   ) -> dict[tuple[str, ...], int]:
-    """The count of each distinct query, from one ``ngram_count`` call,
-    or from none when there is no query."""
-    keys = list(dict.fromkeys(queries))
-    if not keys:
-        return {}
-    return dict(zip(keys, backend.ngram_count(keys), strict=True))

@@ -7,6 +7,7 @@ how many distinct pairs it shares, and the top k (default 8) survive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 
 def char_bigrams(token: str) -> list[str]:
@@ -14,7 +15,7 @@ def char_bigrams(token: str) -> list[str]:
 
     Tokens shorter than two characters have none.
     """
-    return list(dict.fromkeys(token[i:i + 2] for i in range(len(token) - 1)))
+    return list(dict.fromkeys(map(add, token, token[1:])))
 
 
 def shared_bigram_count(a: str, b: str) -> int:

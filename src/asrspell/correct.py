@@ -21,17 +21,6 @@ class ContextQuery:
     def order(self) -> int:
         return len(self.prefix) + 1
 
-    def tokens(self, order: int | None = None) -> list[str]:
-        """The query token sequence, truncated from the left to `order`
-        (whole when `order` exceeds the query's own)."""
-        if order is None:
-            order = self.order
-        return [*self.context(order), self.candidate]
-
-    def context(self, order: int) -> tuple[str, ...]:
-        """The prefix tokens that ``tokens(order)`` keeps."""
-        return self.prefix[max(0, len(self.prefix) - (order - 1)):]
-
 
 @dataclass
 class CorrectionDecision:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
-from asrspell.backend import count_distinct
 from asrspell.candidates import generate_candidates
 from asrspell.store import normalize_token
 
@@ -163,3 +163,13 @@ def detect_realword_suspects(transcript: Transcript, backend,
     return [DetectedError(i, token, ErrorKind.REALWORD_SUSPECT)
             for i, prefix, token, threshold, cands in survivors
             if any(counts[(*prefix, cand)] >= threshold for cand in cands)]
+
+
+def count_distinct(backend, queries: Iterable[tuple[str, ...]]
+                   ) -> dict[tuple[str, ...], int]:
+    """The count of each distinct query, from one ``ngram_count`` call,
+    or from none when there is no query."""
+    keys = list(dict.fromkeys(queries))
+    if not keys:
+        return {}
+    return dict(zip(keys, backend.ngram_count(keys), strict=True))

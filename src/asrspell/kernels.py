@@ -14,13 +14,23 @@ def rank_shared_candidates(postings, uni_counts, exclude_id, k):
     Returns at most ``k`` ``(word_id, shared)`` pairs ordered by shared
     count descending, then corpus frequency descending, then word id
     ascending.
+
+    Nothing is sorted but the few survivors: ``bincount`` gives every
+    word's shared count, a histogram of those counts gives the lowest
+    count the top ``k`` reach, and only the words at or above it are
+    ordered.
     """
     if not postings:
         return []
-    ids, shared = np.unique(np.concatenate(postings), return_counts=True)
+    counts = np.bincount(np.concatenate(postings), minlength=len(uni_counts))
     if exclude_id >= 0:
-        keep = ids != exclude_id
-        ids, shared = ids[keep], shared[keep]
+        counts[exclude_id] = 0
+    # reach[s - 1] is the number of words sharing at least s bigrams; the
+    # cut is the highest s that still reaches k words, else 1.
+    reach = np.cumsum(np.bincount(counts)[:0:-1])[::-1]
+    cut = max(1, int(np.count_nonzero(reach >= k)))
+    ids = np.flatnonzero(counts >= cut)
+    shared = counts[ids]
     # lexsort applies its keys last-first.
     order = np.lexsort((ids, -uni_counts[ids], -shared))[:k]
     return list(zip(ids[order].tolist(), shared[order].tolist()))

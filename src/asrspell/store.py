@@ -12,6 +12,12 @@ On-disk layout (all UTF-8, LF, no trailing whitespace)::
     <dir>/1gram.tsv      token<TAB>count, sorted
     <dir>/2gram.tsv      token token<TAB>count, sorted
     ...                  up to <max_order>gram.tsv
+
+Files sort by token sequence. In memory, unigrams are keyed by the word;
+a 2- to 5-gram is keyed by one exact integer, its word ids packed into
+fixed-width fields (ids in sorted-word order, as in KenLM's id-keyed
+tables), so numeric key order is token-sequence order. An n-gram with a
+token outside the vocabulary has count 0.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +52,8 @@ def normalize_token(raw: str) -> str | None:
     also yield None.
     """
     s = raw.lower()
+    if s.isalnum():
+        return s  # nothing to strip: the common case
     start, end = 0, len(s)
     while start < end and not s[start].isalnum():
         start += 1
@@ -70,19 +78,23 @@ class IndexManifest:
 
 
 class NgramIndex:
-    """Immutable after construction; lookups are safe from any thread."""
+    """Immutable after construction; lookups are safe from any thread.
 
-    def __init__(self, tables: list[dict[str, int]], corpus_id: str,
+    ``tables[0]`` maps each word to its count; ``tables[k - 1]``, for
+    k >= 2, maps the packed key of each k-gram (:func:`_pack`, over the
+    ids of :func:`_vocabulary`) to its count.
+    """
+
+    def __init__(self, tables: list[dict], corpus_id: str,
                  token_count: int):
         if not 1 <= len(tables) <= 5:
             raise ValueError(f"max_order must be in 1..5, got {len(tables)}")
         self._tables = tables
         self._corpus_id = corpus_id
         self._token_count = token_count
-        # Word-id view of the vocabulary for the ranking kernel. Words are
-        # sorted, so ascending ids double as lexicographic order.
-        self._words: list[str] = sorted(tables[0])
-        self._word_id = {w: i for i, w in enumerate(self._words)}
+        # Words are sorted, so ascending ids double as lexicographic order.
+        self._word_id, self._bits = _vocabulary(tables[0])
+        self._words: list[str] = list(self._word_id)
         self._uni_counts = np.array(
             [tables[0][w] for w in self._words], dtype=np.int64)
         postings: dict[str, list[int]] = {}
@@ -118,14 +130,36 @@ class NgramIndex:
 
     def ngram_count(self, queries: Sequence[Sequence[str]]) -> list[int]:
         """The count of each query, a sequence of 1..max_order tokens."""
-        tables = self._tables
+        tables, word_id, bits = self._tables, self._word_id, self._bits
         max_order = len(tables)
         counts = []
         for tokens in queries:
             if isinstance(tokens, str) or not 0 < len(tokens) <= max_order:
                 check_query(tokens, max_order)  # raises the ValueError
-            counts.append(tables[len(tokens) - 1].get(" ".join(tokens), 0))
+            if len(tokens) == 1:
+                counts.append(tables[0].get(tokens[0], 0))
+                continue
+            key = _pack(word_id, bits, tokens)
+            counts.append(0 if key is None
+                          else tables[len(tokens) - 1].get(key, 0))
         return counts
+
+    def ngrams(self, order: int) -> Iterator[tuple[str, int]]:
+        """Each stored `order`-gram, space-joined, with its count, in
+        token-sequence order."""
+        table = self._tables[order - 1]
+        if order == 1:
+            return ((word, table[word]) for word in self._words)
+        keys = sorted(table)
+        counts = list(map(table.__getitem__, keys))
+        # Unpack all keys at once; keys wider than int64 stay Python ints.
+        bits, mask = self._bits, (1 << self._bits) - 1
+        packed = np.array(keys, dtype=np.int64 if order * bits <= 63
+                          else object)
+        words = np.array(self._words, dtype=object)
+        columns = [words[(packed >> shift & mask).astype(np.intp)]
+                   for shift in range((order - 1) * bits, -1, -bits)]
+        return zip(map(" ".join, zip(*columns)), counts)
 
     def unigrams_containing_bigram(self, bigram: str) -> list[str]:
         if len(bigram) != 2:
@@ -168,6 +202,26 @@ def check_query(tokens: Sequence[str], max_order: int) -> None:
             f"query order {len(tokens)} outside 1..{max_order}")
 
 
+def _vocabulary(unigrams: Iterable[str]) -> tuple[dict[str, int], int]:
+    """Each word's id, ids in sorted-word order, and the bits one id takes
+    in a packed key."""
+    word_id = {word: i for i, word in enumerate(sorted(unigrams))}
+    return word_id, max(1, (len(word_id) - 1).bit_length())
+
+
+def _pack(word_id: dict[str, int], bits: int,
+          tokens: Iterable[str]) -> int | None:
+    """The packed key ``((id1 << bits | id2) << bits | ...)`` of `tokens`,
+    or None when one of them is not a word."""
+    key = 0
+    for token in tokens:
+        wid = word_id.get(token)
+        if wid is None:
+            return None
+        key = key << bits | wid
+    return key
+
+
 def tokenize_line(line: str) -> list[str]:
     """Tokens of one corpus line, in order, normalization applied."""
     out = []
@@ -190,21 +244,21 @@ def build_index(corpus: str | Iterable[str], max_order: int = 5,
         raise ValueError(f"max_order must be in 1..5, got {max_order}")
     if isinstance(corpus, str):
         corpus = corpus.splitlines()
-    tables: list[Counter[str]] = [Counter() for _ in range(max_order)]
-    token_count = 0
-    for line in corpus:
-        tokens = tokenize_line(line)
-        if not tokens:
-            continue
-        token_count += len(tokens)
-        tables[0].update(tokens)
-        for k in range(2, max_order + 1):
-            tables[k - 1].update(
-                " ".join(tokens[i:i + k])
-                for i in range(len(tokens) - k + 1))
+    lines = [tokens for tokens in map(tokenize_line, corpus) if tokens]
+    unigrams: Counter[str] = Counter()
+    for tokens in lines:
+        unigrams.update(tokens)
+    word_id, bits = _vocabulary(unigrams)
+    tables = [unigrams] + [Counter() for _ in range(max_order - 1)]
+    for tokens in lines:
+        # A k-gram's key extends the key of its first k - 1 tokens.
+        keys = ids = [word_id[token] for token in tokens]
+        for k, table in enumerate(tables[1:], start=2):
+            keys = [key << bits | wid for key, wid in zip(keys, ids[k - 1:])]
+            table.update(keys)
     # The Counters go in as they are: copying them to plain dicts would
     # briefly hold every table twice.
-    return NgramIndex(tables, corpus_id, token_count)
+    return NgramIndex(tables, corpus_id, sum(map(len, lines)))
 
 
 def save_index(index: NgramIndex, path: str | os.PathLike) -> None:
@@ -214,23 +268,10 @@ def save_index(index: NgramIndex, path: str | os.PathLike) -> None:
     with open(root / MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as f:
         f.write(index.manifest.to_tsv())
     for k in range(1, index.max_order + 1):
-        table = index._tables[k - 1]
-        keys = sorted(table, key=_token_order)
         with open(root / f"{k}gram.tsv", "w", encoding="utf-8",
                   newline="\n") as f:
-            for key in keys:
-                f.write(f"{key}\t{table[key]}\n")
-
-
-def _token_order(key: str) -> str:
-    """A string whose plain order is the token-sequence order of `key`.
-
-    Tokens may hold any character but the space, including ones below it,
-    so the joined string alone does not sort as the token lists do. Here
-    the separator becomes the lowest code pair, "\\0\\0", and a "\\0"
-    inside a token the next one, "\\0\\1".
-    """
-    return key.replace("\0", "\0\1").replace(" ", "\0\0")
+            f.writelines(f"{key}\t{count}\n"
+                         for key, count in index.ngrams(k))
 
 
 def load_index(path: str | os.PathLike) -> NgramIndex:
@@ -241,17 +282,19 @@ def load_index(path: str | os.PathLike) -> NgramIndex:
     """
     root = Path(path)
     manifest = _read_manifest(root / MANIFEST_FILE)
-    tables: list[dict[str, int]] = []
-    for k in range(1, manifest.max_order + 1):
-        tables.append(_read_gram_file(root / f"{k}gram.tsv", k))
-    if len(tables[0]) != manifest.distinct_unigrams:
+    unigrams = _read_gram_file(root / "1gram.tsv", 1, {}, 0)
+    if len(unigrams) != manifest.distinct_unigrams:
         raise IndexFormatError(
             f"{root / MANIFEST_FILE}: distinct_unigrams is "
-            f"{manifest.distinct_unigrams} but 1gram.tsv has {len(tables[0])}")
-    if sum(tables[0].values()) != manifest.token_count:
+            f"{manifest.distinct_unigrams} but 1gram.tsv has {len(unigrams)}")
+    if sum(unigrams.values()) != manifest.token_count:
         raise IndexFormatError(
             f"{root / MANIFEST_FILE}: token_count is {manifest.token_count} "
-            f"but unigram counts sum to {sum(tables[0].values())}")
+            f"but unigram counts sum to {sum(unigrams.values())}")
+    word_id, bits = _vocabulary(unigrams)
+    tables = [unigrams] + [
+        _read_gram_file(root / f"{k}gram.tsv", k, word_id, bits)
+        for k in range(2, manifest.max_order + 1)]
     return NgramIndex(tables, manifest.corpus_id, manifest.token_count)
 
 
@@ -291,21 +334,24 @@ def _read_manifest(path: Path) -> IndexManifest:
         token_count=token_count, distinct_unigrams=distinct)
 
 
-def _read_gram_file(path: Path, order: int) -> dict[str, int]:
+def _read_gram_file(path: Path, order: int, word_id: dict[str, int],
+                    bits: int) -> dict:
+    """The table of one gram file: unigrams keyed by the word, longer
+    n-grams by their packed key over `word_id`."""
     if not path.is_file():
         raise IndexFormatError(f"{path}: missing {order}-gram file")
-    table: dict[str, int] = {}
+    table: dict = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 raise IndexFormatError(f"{path}:{lineno}: blank line")
-            parts = line.split("\t")
-            if len(parts) != 2:
+            key, tab, count_text = line.partition("\t")
+            if not tab or "\t" in count_text:
                 raise IndexFormatError(
                     f"{path}:{lineno}: expected ngram<TAB>count")
-            key, count_text = parts
-            if len(key.split(" ")) != order or "" in key.split(" "):
+            tokens = key.split(" ")
+            if len(tokens) != order or "" in tokens:
                 raise IndexFormatError(
                     f"{path}:{lineno}: key {key!r} is not a {order}-gram")
             try:
@@ -316,7 +362,12 @@ def _read_gram_file(path: Path, order: int) -> dict[str, int]:
             if count < 1:
                 raise IndexFormatError(
                     f"{path}:{lineno}: count must be >= 1, got {count}")
-            if key in table:
+            packed = key if order == 1 else _pack(word_id, bits, tokens)
+            if packed is None:
+                missing = next(t for t in tokens if t not in word_id)
+                raise IndexFormatError(
+                    f"{path}:{lineno}: token {missing!r} is not in 1gram.tsv")
+            if packed in table:
                 raise IndexFormatError(f"{path}:{lineno}: duplicate key {key!r}")
-            table[key] = count
+            table[packed] = count
     return table

@@ -58,20 +58,33 @@ class TestBuildContextQueries:
             build_context_queries(transcript, 2, cands)
 
 
+def query_context(q: ContextQuery, order: int) -> tuple[str, ...]:
+    """The prefix tokens that ``query_tokens(q, order)`` keeps."""
+    return q.prefix[max(0, len(q.prefix) - (order - 1)):]
+
+
+def query_tokens(q: ContextQuery, order: int | None = None) -> list[str]:
+    """The query token sequence, truncated from the left to `order` (whole
+    when `order` exceeds the query's own)."""
+    if order is None:
+        order = q.order
+    return [*query_context(q, order), q.candidate]
+
+
 class TestContextQueryTokens:
     def test_truncated_from_the_left(self):
         q = ContextQuery(("a", "b", "c", "d"), "e")
-        assert q.tokens() == ["a", "b", "c", "d", "e"]
-        assert q.tokens(3) == ["c", "d", "e"]
-        assert q.tokens(1) == ["e"]
+        assert query_tokens(q) == ["a", "b", "c", "d", "e"]
+        assert query_tokens(q, 3) == ["c", "d", "e"]
+        assert query_tokens(q, 1) == ["e"]
 
     @pytest.mark.parametrize("prefix", [(), ("a",), ("a", "b"),
                                         ("a", "b", "c")])
     def test_whole_above_own_order(self, prefix):
         q = ContextQuery(prefix, "z")
         for order in range(q.order, 6):
-            assert q.tokens(order) == [*prefix, "z"]
-            assert q.context(order) == prefix
+            assert query_tokens(q, order) == [*prefix, "z"]
+            assert query_context(q, order) == prefix
 
 
 class TestSelectCorrection:
@@ -136,7 +149,8 @@ def unpruned_select(queries, backend, config):
               else [full_order])
     scores = {}
     for order in orders:
-        counts = backend.ngram_count([q.tokens(order) for q in queries])
+        counts = backend.ngram_count([query_tokens(q, order)
+                                      for q in queries])
         scores = {q.candidate: (order, c) for q, c in zip(queries, counts)}
         if max(counts) > 0:
             return CorrectionDecision(

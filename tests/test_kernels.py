@@ -89,3 +89,46 @@ def test_tie_ordering():
 def test_selected_implementation_exposed():
     assert kernels.IMPLEMENTATION == "numpy"
     assert callable(kernels.rank_shared_candidates)
+
+
+class TestOracleCases:
+    """Cases where the cut at the k-th shared count can go wrong."""
+
+    @staticmethod
+    def rank(postings, uni, exclude_id, k):
+        return kernels.rank_shared_candidates(
+            [np.array(ids, dtype=np.intc) for ids in postings],
+            np.array(uni, dtype=np.int64), exclude_id, k)
+
+    def check(self, postings, uni, exclude_id, ks=(1, 2, 3, 8, 50)):
+        arrays = [np.array(ids, dtype=np.intc) for ids in postings]
+        for k in ks:
+            assert self.rank(postings, uni, exclude_id, k) == \
+                brute_force(arrays, np.array(uni), exclude_id, k)
+
+    def test_excluded_word_holds_the_top_count(self):
+        # Word 2 is in every list; without it the best share only two.
+        postings = [[0, 2, 4], [1, 2, 4], [2, 3], [0, 2]]
+        self.check(postings, [3, 3, 1, 9, 2], exclude_id=2)
+        assert self.rank(postings, [3, 3, 1, 9, 2], 2, 1) == [(0, 2)]
+
+    def test_fewer_nonzero_words_than_k(self):
+        self.check([[1, 5], [5]], [1] * 8, exclude_id=-1)
+        self.check([[1, 5], [5]], [1] * 8, exclude_id=5)
+
+    def test_tie_at_the_cut_is_broken_by_frequency_then_id(self):
+        # Shared counts 3, 2, 2, 2, 2, 1: with k = 2 or 3 the cut falls
+        # inside the run of 2s, so frequency and then id decide.
+        postings = [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [0]]
+        uni = [1, 4, 7, 7, 4, 9]
+        self.check(postings, uni, exclude_id=-1, ks=(1, 2, 3, 4, 5, 6))
+        assert self.rank(postings, uni, -1, 3) == [(0, 3), (2, 2), (3, 2)]
+
+    def test_every_hit_is_the_excluded_word(self):
+        self.check([[3], [3], [3]], [2, 2, 2, 2], exclude_id=3)
+        assert self.rank([[3], [3], [3]], [2, 2, 2, 2], 3, 8) == []
+
+    def test_k_larger_than_the_vocabulary(self):
+        postings = [[0, 1, 2], [1, 2], [2]]
+        self.check(postings, [5, 1, 3], exclude_id=-1, ks=(3, 4, 50, 1000))
+        self.check(postings, [5, 1, 3], exclude_id=0, ks=(3, 4, 50, 1000))

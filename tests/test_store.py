@@ -1,10 +1,35 @@
 import random
+from collections import Counter
 
 import pytest
 
-from asrspell import (IndexFormatError, NgramIndex, build_index,
+from asrspell import (IndexFormatError, IndexManifest, build_index,
                       load_index, normalize_token, save_index)
-from asrspell.store import MANIFEST_FILE
+from asrspell.store import MANIFEST_FILE, tokenize_line
+
+
+def write_index_dir(root, tables, corpus_id):
+    """An index directory holding `tables` (space-joined n-gram -> count,
+    one per order) line for line, in the tables' own order."""
+    root.mkdir()
+    manifest = IndexManifest(corpus_id, len(tables), sum(tables[0].values()),
+                             len(tables[0]))
+    (root / MANIFEST_FILE).write_text(manifest.to_tsv(), encoding="utf-8")
+    for k, table in enumerate(tables, start=1):
+        (root / f"{k}gram.tsv").write_text(
+            "".join(f"{key}\t{count}\n" for key, count in table.items()),
+            encoding="utf-8")
+
+
+def recount(lines, max_order=5):
+    """String-keyed n-gram counts per order, the plain way."""
+    tables = [Counter() for _ in range(max_order)]
+    for line in lines:
+        tokens = tokenize_line(line)
+        for k in range(1, max_order + 1):
+            tables[k - 1].update(" ".join(tokens[i:i + k])
+                                 for i in range(len(tokens) - k + 1))
+    return tables
 
 
 class TestNormalizeToken:
@@ -134,12 +159,43 @@ class TestLookups:
         assert index.unigram_exists("a")
         assert index.unigrams_containing_bigram("ab") == ["ab"]
 
+    @pytest.mark.parametrize("query", [
+        ("the", "zebra"), ("zebra", "cat"), ("zebra",), ("",), ("", "cat"),
+        ("the", ""), ("the cat",), ("the cat", "sat"), ("the", "cat sat"),
+        ("the", "cat", "sat "), (" the", "cat")])
+    def test_absent_queries_count_zero(self, tiny_index, query):
+        assert tiny_index.ngram_count([query]) == [0]
+
+    @pytest.mark.parametrize("vocab_size", [1, 2, 3, 16, 17, 256, 257,
+                                            4096, 4097])
+    def test_packed_counts_exact_at_id_width_boundary(self, vocab_size,
+                                                      tmp_path):
+        # 2^b words fill b-bit ids; one word more needs b + 1 bits. At 4097
+        # words a 5-gram key no longer fits 63 bits.
+        rng = random.Random(vocab_size)
+        words = [f"w{i}" for i in range(vocab_size)]
+        lines = [" ".join(words)]
+        lines += [" ".join(rng.choices(words, k=rng.randint(1, 12)))
+                  for _ in range(300)]
+        index = build_index(lines)
+        expected = recount(lines)
+        assert len(index.vocab) == vocab_size
+        for k in range(1, 6):
+            assert dict(index.ngrams(k)) == expected[k - 1]
+            keys = list(expected[k - 1])
+            assert index.ngram_count([key.split(" ") for key in keys]) == \
+                [expected[k - 1][key] for key in keys]
+        save_index(index, tmp_path / "idx")
+        loaded = load_index(tmp_path / "idx")
+        for k in range(1, 6):
+            assert list(loaded.ngrams(k)) == list(index.ngrams(k))
+
     def test_count_monotonicity(self):
         corpus = "the cat sat on the mat\nthe cat ran\nthe dog sat"
         index = build_index(corpus)
         for k in range(1, index.max_order):
-            table = index._tables[k - 1]
-            extensions = index._tables[k]
+            table = dict(index.ngrams(k))
+            extensions = dict(index.ngrams(k + 1))
             sums: dict[str, int] = {}
             for key, count in extensions.items():
                 prefix = key.rsplit(" ", 1)[0]
@@ -152,8 +208,8 @@ class TestPersistence:
     def test_round_trip(self, tiny_index, tmp_path):
         save_index(tiny_index, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx")
-        for table in tiny_index._tables:
-            for joined, count in table.items():
+        for k in range(1, tiny_index.max_order + 1):
+            for joined, count in tiny_index.ngrams(k):
                 assert loaded.ngram_count([joined.split(" ")]) == [count]
         assert loaded.manifest == tiny_index.manifest
 
@@ -196,7 +252,8 @@ class TestPersistence:
         for k in range(2, 6):
             tables.append({" ".join(rng.choice(tokens) for _ in range(k)):
                            rng.randint(1, 9) for _ in range(300)})
-        index = NgramIndex(tables, "below-space", token_count=len(tokens))
+        write_index_dir(tmp_path / "unsorted", tables, "below-space")
+        index = load_index(tmp_path / "unsorted")
         save_index(index, tmp_path / "idx")
         for k, table in enumerate(tables, start=1):
             data = (tmp_path / "idx" / f"{k}gram.tsv").read_text(
@@ -246,6 +303,16 @@ class TestPersistence:
         path.write_text("a b\t1\na b\t2\n", encoding="utf-8")
         with pytest.raises(IndexFormatError, match="duplicate"):
             load_index(tmp_path / "idx")
+
+    def test_unknown_token_rejected(self, tiny_index, tmp_path):
+        save_index(tiny_index, tmp_path / "idx")
+        path = tmp_path / "idx" / "2gram.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines) + "cat zebra\t1\n", encoding="utf-8")
+        with pytest.raises(IndexFormatError) as info:
+            load_index(tmp_path / "idx")
+        assert str(info.value) == (f"{path}:{len(lines) + 1}: token 'zebra' "
+                                   f"is not in 1gram.tsv")
 
     def test_unigram_total_mismatch(self, tiny_index, tmp_path):
         save_index(tiny_index, tmp_path / "idx")
