@@ -79,7 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_build_index(args) -> int:
-    tables_id = ",".join(Path(p).name for p in args.corpus)
+    # A tab or line end would break the manifest's key<TAB>value lines.
+    tables_id = ",".join(Path(p).name for p in args.corpus).translate(
+        str.maketrans("\t\r\n", "   "))
 
     def lines():
         for path in args.corpus:

@@ -260,13 +260,22 @@ class RemoteBackend:
     @property
     def max_order(self) -> int:
         if self._max_order is None:
-            self._max_order = int(self.manifest()["max_order"])
+            value = self.manifest().get("max_order", "")
+            if not (value.isascii() and value.isdigit()
+                    and 1 <= int(value) <= PROTOCOL_MAX_ORDER):
+                raise BackendError(
+                    f"{self._base}/v1/manifest: max_order {value!r} is not "
+                    f"an integer in 1..{PROTOCOL_MAX_ORDER}")
+            self._max_order = int(value)
         return self._max_order
 
     def manifest(self) -> dict[str, str]:
         body = self._call("GET", "/v1/manifest")
-        entries = (line.split("\t", 1) for line in body.splitlines() if line)
-        return {key: value for key, value in entries}
+        entries = [line.split("\t", 1) for line in body.split("\n") if line]
+        if any(len(entry) != 2 for entry in entries):
+            raise BackendError(f"{self._base}/v1/manifest: expected "
+                               f"key<TAB>value lines, got {body[:200]!r}")
+        return dict(entries)
 
     def unigram_exists(self, token: str) -> bool:
         return self.ngram_count([(token,)])[0] > 0

@@ -6,24 +6,40 @@ character bigrams to the vocabulary words containing them. It is the local
 stand-in for a web-scale n-gram lookup service: correction quality is a
 direct function of the corpus fed to :func:`build_index`.
 
-On-disk layout (all UTF-8, LF, no trailing whitespace)::
+On-disk layout (TSVs all UTF-8, LF, no trailing whitespace)::
 
     <dir>/manifest.tsv   key<TAB>value lines
     <dir>/1gram.tsv      token<TAB>count, sorted
     <dir>/2gram.tsv      token token<TAB>count, sorted
     ...                  up to <max_order>gram.tsv
+    <dir>/2gram.bin      binary sidecar of 2gram.tsv (derived, optional)
+    ...                  up to <max_order>gram.bin
 
-Files sort by token sequence. In memory, unigrams are keyed by the word;
-a 2- to 5-gram is keyed by one exact integer, its word ids packed into
-fixed-width fields (ids in sorted-word order, as in KenLM's id-keyed
-tables), so numeric key order is token-sequence order. An n-gram with a
-token outside the vocabulary has count 0.
+Files sort by token sequence. The TSVs are the index; a sidecar only
+loads its order faster. It holds a header (:data:`_SIDECAR_HEADER`: magic,
+order, vocabulary size, rows, then the byte length and CRC-32 of
+1gram.tsv, of its own <k>gram.tsv and of its payload) and a payload of
+rows in token-sequence order, each k little-endian uint32 word ids and
+an int64 count. :func:`load_index` uses a sidecar only when every
+recorded length and CRC-32 matches the bytes on disk and every row checks
+out; otherwise it parses that order's TSV.
+
+In memory, unigrams are keyed by the word; a 2- to 5-gram is keyed by
+one exact integer, its word ids packed into fixed-width fields (ids in
+sorted-word order, as in KenLM's id-keyed tables), so numeric key order
+is token-sequence order. An n-gram with a token outside the vocabulary
+has count 0.
 """
 from __future__ import annotations
 
+import logging
 import os
+import struct
+import time
+import zlib
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -32,11 +48,19 @@ import numpy as np
 from asrspell import kernels
 from asrspell.candidates import Candidate, char_bigrams
 
+log = logging.getLogger(__name__)
+
 NORMALIZATION_VERSION = "1"
 
 MANIFEST_FILE = "manifest.tsv"
 _MANIFEST_KEYS = ("corpus_id", "max_order", "token_count",
                   "distinct_unigrams", "normalization_version")
+
+# magic, order, vocabulary size, rows, then (bytes, CRC-32) of 1gram.tsv,
+# of <k>gram.tsv and of the payload.
+_SIDECAR_HEADER = struct.Struct("<8sIQQQIQIQI")
+_SIDECAR_MAGIC = b"asrsng\x00\x01"
+_SIDECAR_CHUNK_ROWS = 2048
 
 
 class IndexFormatError(ValueError):
@@ -147,19 +171,38 @@ class NgramIndex:
     def ngrams(self, order: int) -> Iterator[tuple[str, int]]:
         """Each stored `order`-gram, space-joined, with its count, in
         token-sequence order."""
-        table = self._tables[order - 1]
         if order == 1:
+            table = self._tables[0]
             return ((word, table[word]) for word in self._words)
-        keys = sorted(table)
-        counts = list(map(table.__getitem__, keys))
-        # Unpack all keys at once; keys wider than int64 stay Python ints.
+        return self._joined(*self._rows(order))
+
+    def _rows(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stored `order`-grams, order >= 2, in token-sequence order:
+        an (n, order) uint32 array of their word ids and an array of their
+        counts (int64, or Python ints when one does not fit)."""
+        table = self._tables[order - 1]
+        if _key_dtype(order, self._bits) is object:
+            # Keys wider than int64 stay Python ints, which sorted() orders
+            # faster than an argsort over objects.
+            keys = np.array(sorted(table), dtype=object)
+        else:
+            keys = np.sort(np.fromiter(table, np.int64, len(table)))
+        counts = list(map(table.__getitem__, keys.tolist()))
+        try:
+            counts = np.array(counts, dtype=np.int64)
+        except OverflowError:
+            counts = np.array(counts, dtype=object)
         bits, mask = self._bits, (1 << self._bits) - 1
-        packed = np.array(keys, dtype=np.int64 if order * bits <= 63
-                          else object)
-        words = np.array(self._words, dtype=object)
-        columns = [words[(packed >> shift & mask).astype(np.intp)]
-                   for shift in range((order - 1) * bits, -1, -bits)]
-        return zip(map(" ".join, zip(*columns)), counts)
+        ids = np.empty((len(keys), order), dtype=np.uint32)
+        for column, shift in enumerate(range((order - 1) * bits, -1, -bits)):
+            ids[:, column] = keys >> shift & mask
+        return ids, counts
+
+    def _joined(self, ids: np.ndarray, counts: np.ndarray
+                ) -> Iterator[tuple[str, int]]:
+        """Each row of :meth:`_rows` as its space-joined words and count."""
+        columns = np.array(self._words, dtype=object)[ids.T]
+        return zip(map(" ".join, zip(*columns)), counts.tolist())
 
     def unigrams_containing_bigram(self, bigram: str) -> list[str]:
         if len(bigram) != 2:
@@ -222,6 +265,20 @@ def _pack(word_id: dict[str, int], bits: int,
     return key
 
 
+def _key_dtype(order: int, bits: int) -> type:
+    """The array dtype that holds every packed `order`-gram key."""
+    return np.int64 if order * bits <= 63 else object
+
+
+def _pack_ids(ids: np.ndarray, bits: int) -> np.ndarray:
+    """The packed key of each row of word ids, as :func:`_pack` gives it."""
+    dtype = _key_dtype(ids.shape[1], bits)
+    keys = ids[:, 0].astype(dtype)
+    for column in ids.T[1:]:
+        keys = keys << bits | column.astype(dtype)
+    return keys
+
+
 def tokenize_line(line: str) -> list[str]:
     """Tokens of one corpus line, in order, normalization applied."""
     out = []
@@ -262,27 +319,89 @@ def build_index(corpus: str | Iterable[str], max_order: int = 5,
 
 
 def save_index(index: NgramIndex, path: str | os.PathLike) -> None:
-    """Write the index directory (see module docstring for the layout)."""
+    """Write the index directory (see module docstring for the layout).
+
+    Raises ValueError, before writing anything, when a manifest field
+    holds a tab or a line end.
+    """
+    manifest = index.manifest
+    for key in _MANIFEST_KEYS:
+        value = str(getattr(manifest, key))
+        if any(c in value for c in "\t\r\n"):
+            raise ValueError(f"manifest field {key} must hold no tab or "
+                             f"line end, got {value!r}")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     with open(root / MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as f:
-        f.write(index.manifest.to_tsv())
-    for k in range(1, index.max_order + 1):
-        with open(root / f"{k}gram.tsv", "w", encoding="utf-8",
-                  newline="\n") as f:
-            f.writelines(f"{key}\t{count}\n"
-                         for key, count in index.ngrams(k))
+        f.write(manifest.to_tsv())
+    unigrams = _write_lines(root / "1gram.tsv", (
+        f"{key}\t{count}\n" for key, count in index.ngrams(1)))
+    vocab_size = len(index.vocab)
+    for k in range(2, index.max_order + 1):
+        ids, counts = index._rows(k)
+        sidecar = root / f"{k}gram.bin"
+        payload = None
+        if counts.dtype != object:  # else a count would not fit a row
+            # The TSV is written from the payload's columns, so the rows
+            # are held once.
+            payload = np.empty(len(ids), dtype=_sidecar_row(k))
+            payload["ids"], payload["count"] = ids, counts
+            ids, counts = payload["ids"], payload["count"]
+        grams = _write_lines(root / f"{k}gram.tsv", (
+            f"{key}\t{count}\n" for key, count in index._joined(ids, counts)))
+        if payload is None:
+            sidecar.unlink(missing_ok=True)
+            continue
+        with open(sidecar, "wb") as f:
+            f.write(_SIDECAR_HEADER.pack(
+                _SIDECAR_MAGIC, k, vocab_size, len(ids), *unigrams, *grams,
+                payload.nbytes, zlib.crc32(payload)))
+            f.write(payload)
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> tuple[int, int]:
+    """Write `lines` as UTF-8; return the file's byte length and CRC-32."""
+    size = crc = 0
+    lines = iter(lines)
+    with open(path, "wb") as f:
+        while block := "".join(islice(lines, 4096)).encode("utf-8"):
+            f.write(block)
+            size += len(block)
+            crc = zlib.crc32(block, crc)
+    return size, crc
+
+
+def _digest(path: Path) -> tuple[int, int]:
+    """The byte length and CRC-32 of the file at `path`."""
+    size = crc = 0
+    with open(path, "rb") as f:
+        while block := f.read(1 << 20):
+            size += len(block)
+            crc = zlib.crc32(block, crc)
+    return size, crc
+
+
+def _sidecar_row(order: int) -> np.dtype:
+    """One payload row of the `order`-gram sidecar: ids, then count."""
+    return np.dtype([("ids", "<u4", (order,)), ("count", "<i8")])
 
 
 def load_index(path: str | os.PathLike) -> NgramIndex:
     """Load an index directory written by :func:`save_index`.
 
+    Each order k >= 2 comes from its sidecar ``<k>gram.bin`` when that is
+    valid for the TSVs on disk, and from ``<k>gram.tsv`` otherwise; both
+    give the same table. Logs which at INFO, and a sidecar that is there
+    but skipped at WARNING.
+
     Raises IndexFormatError naming the offending file (and line, where
     applicable) on any missing or malformed content.
     """
+    start = time.perf_counter()
     root = Path(path)
     manifest = _read_manifest(root / MANIFEST_FILE)
-    unigrams = _read_gram_file(root / "1gram.tsv", 1, {}, 0)
+    unigram_path = root / "1gram.tsv"
+    unigrams = _read_gram_file(unigram_path, 1, {}, 0)
     if len(unigrams) != manifest.distinct_unigrams:
         raise IndexFormatError(
             f"{root / MANIFEST_FILE}: distinct_unigrams is "
@@ -292,10 +411,87 @@ def load_index(path: str | os.PathLike) -> NgramIndex:
             f"{root / MANIFEST_FILE}: token_count is {manifest.token_count} "
             f"but unigram counts sum to {sum(unigrams.values())}")
     word_id, bits = _vocabulary(unigrams)
-    tables = [unigrams] + [
-        _read_gram_file(root / f"{k}gram.tsv", k, word_id, bits)
-        for k in range(2, manifest.max_order + 1)]
-    return NgramIndex(tables, manifest.corpus_id, manifest.token_count)
+    tables: list[dict] = [unigrams]
+    from_sidecar, from_tsv = [], [1]
+    unigram_digest = None
+    for k in range(2, manifest.max_order + 1):
+        sidecar, tsv = root / f"{k}gram.bin", root / f"{k}gram.tsv"
+        table = None
+        if sidecar.is_file():
+            try:
+                unigram_digest = unigram_digest or _digest(unigram_path)
+                table = _read_sidecar(sidecar, k, len(word_id), bits,
+                                      (unigram_digest, _digest(tsv)))
+            except (_StaleSidecar, OSError) as exc:
+                log.warning("%s: skipped, reading %s instead: %s",
+                            sidecar, tsv.name, exc)
+        if table is None:
+            table = _read_gram_file(tsv, k, word_id, bits)
+            from_tsv.append(k)
+        else:
+            from_sidecar.append(k)
+        tables.append(table)
+    index = NgramIndex(tables, manifest.corpus_id, manifest.token_count)
+    log.info("loaded index %s in %.2f s: orders %s from sidecars, %s from "
+             "TSV", root, time.perf_counter() - start,
+             from_sidecar or "none", from_tsv)
+    return index
+
+
+class _StaleSidecar(Exception):
+    """A sidecar that does not match its TSVs or fails a row check."""
+
+
+def _read_sidecar(path: Path, order: int, vocab_size: int, bits: int,
+                  tsv_digests: tuple[tuple[int, int], tuple[int, int]]
+                  ) -> dict:
+    """The table of one sidecar, streamed in chunks of at most
+    _SIDECAR_CHUNK_ROWS rows; raises _StaleSidecar unless its header
+    records `tsv_digests` (of 1gram.tsv and of its own TSV) and every row
+    checks out."""
+    row = _sidecar_row(order)
+    with open(path, "rb") as f:
+        header = f.read(_SIDECAR_HEADER.size)
+        if len(header) < _SIDECAR_HEADER.size:
+            raise _StaleSidecar("header truncated")
+        (magic, got_order, got_vocab, rows, *digests, payload_size,
+         payload_crc) = _SIDECAR_HEADER.unpack(header)
+        if magic != _SIDECAR_MAGIC:
+            raise _StaleSidecar("not an n-gram sidecar of this version")
+        if (got_order, got_vocab) != (order, vocab_size):
+            raise _StaleSidecar(f"written for {got_order}-grams over "
+                                f"{got_vocab} words")
+        if tuple(digests[:2]) != tsv_digests[0]:
+            raise _StaleSidecar("1gram.tsv changed since it was written")
+        if tuple(digests[2:]) != tsv_digests[1]:
+            raise _StaleSidecar(f"{order}gram.tsv changed since it was "
+                                f"written")
+        if payload_size != rows * row.itemsize:
+            raise _StaleSidecar(f"{rows} rows do not fill {payload_size} "
+                                f"payload bytes")
+        table: dict = {}
+        crc, done, last = 0, 0, -1
+        while chunk := f.read(_SIDECAR_CHUNK_ROWS * row.itemsize):
+            crc = zlib.crc32(chunk, crc)
+            done += len(chunk) // row.itemsize
+            if len(chunk) % row.itemsize:
+                raise _StaleSidecar("payload ends mid-row")
+            if done > rows:
+                raise _StaleSidecar(f"payload longer than {rows} rows")
+            block = np.frombuffer(chunk, dtype=row)
+            ids, counts = block["ids"], block["count"]
+            if ids.max() >= vocab_size or counts.min() < 1:
+                raise _StaleSidecar("word id or count out of range")
+            keys = _pack_ids(ids, bits)
+            if keys[0] <= last or np.any(keys[1:] <= keys[:-1]):
+                raise _StaleSidecar("rows not strictly ascending")
+            last = keys[-1]
+            table.update(zip(keys.tolist(), counts.tolist()))
+    if done != rows:
+        raise _StaleSidecar(f"payload truncated: {done} of {rows} rows")
+    if crc != payload_crc:
+        raise _StaleSidecar("payload CRC-32 mismatch")
+    return table
 
 
 def _read_manifest(path: Path) -> IndexManifest:

@@ -6,6 +6,7 @@ import urllib.request
 
 import pytest
 
+from asrspell import load_index
 from asrspell.cli import main
 from tests.conftest import (EXTRA_VOCAB, WORKED_ERROR_TEXT, WORKED_SENTENCE)
 
@@ -28,8 +29,25 @@ def index_dir(tmp_path, corpus_file):
 
 def test_build_index_writes_layout(index_dir):
     names = sorted(p.name for p in index_dir.iterdir())
-    assert names == ["1gram.tsv", "2gram.tsv", "3gram.tsv", "4gram.tsv",
+    assert names == ["1gram.tsv", "2gram.bin", "2gram.tsv", "3gram.bin",
+                     "3gram.tsv", "4gram.bin", "4gram.tsv", "5gram.bin",
                      "5gram.tsv", "manifest.tsv"]
+
+
+def test_corpus_name_with_tab_and_line_ends_builds_a_loadable_index(
+        tmp_path, corpus_file):
+    # The corpus id comes from the file name; the manifest cannot hold a
+    # tab or a line end.
+    named = tmp_path / "a\tb\rc\nd.txt"
+    named.write_bytes(corpus_file.read_bytes())
+    out = tmp_path / "index"
+    assert main(["build-index", "--corpus", str(named),
+                 "--out", str(out)]) == 0
+    assert load_index(out).manifest.corpus_id == "a b c d.txt"
+    src = tmp_path / "asr.txt"
+    src.write_text(WORKED_ERROR_TEXT, encoding="utf-8")
+    assert main(["correct", "--index", str(out), "--in", str(src),
+                 "--out", str(tmp_path / "out.txt")]) == 0
 
 
 def test_correct_clean_text_identity(tmp_path, index_dir):

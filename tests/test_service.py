@@ -550,19 +550,20 @@ class TestBatchEndpoint:
 
 @pytest.fixture
 def fake_reply():
-    """A server that answers every POST with the body a test sets, and
-    the manifest of a 5-gram index."""
-    replies = []
+    """A server that answers each endpoint with the body a test sets for
+    its path; the manifest is that of a 5-gram index until a test sets
+    another."""
+    replies = {"/v1/manifest": b"max_order\t5\n"}
 
     class Handler(http.server.BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
 
         def do_GET(self):
-            self._send(b"max_order\t5\n")
+            self._send(replies[urllib.parse.urlsplit(self.path).path])
 
         def do_POST(self):
             self.rfile.read(int(self.headers["Content-Length"]))
-            self._send(replies[0])
+            self._send(replies[self.path])
 
         def _send(self, data):
             self.send_response(200)
@@ -589,11 +590,36 @@ def fake_reply():
 ])
 def test_reply_of_wrong_shape_is_a_backend_error(fake_reply, reply):
     remote, replies = fake_reply
-    replies.append(b"7\n0\n")
+    replies["/v1/ngram"] = b"7\n0\n"
     assert remote.ngram_count([["shows"], ["shaws"]]) == [7, 0]
-    replies[0] = reply
+    replies["/v1/ngram"] = reply
     with pytest.raises(BackendError, match="/v1/ngram"):
         remote.ngram_count([["shows"], ["shaws"]])
+
+
+@pytest.mark.parametrize("body,lines_ok", [
+    (b"<html><body>502 Bad Gateway</body></html>\n", False),
+    (b"max_order\t5\nnot a pair\n", False),
+    (b"corpus_id\tx\n", True),
+    (b"max_order\tfive\n", True),
+    (b"max_order\t\n", True),
+    (b"max_order\t5.0\n", True),
+    (b"max_order\t0\n", True),
+    (b"max_order\t\xd9\xa5\n", True),  # a non-ASCII digit
+])
+def test_manifest_of_wrong_shape_is_a_backend_error(fake_reply, body,
+                                                    lines_ok):
+    remote, replies = fake_reply
+    replies["/v1/manifest"] = body
+    if lines_ok:
+        remote.manifest()  # the lines parse; only max_order is wrong
+    else:
+        with pytest.raises(BackendError, match="/v1/manifest"):
+            remote.manifest()
+    with pytest.raises(BackendError, match="/v1/manifest"):
+        remote.max_order
+    with pytest.raises(BackendError, match="/v1/manifest"):
+        remote.ngram_count([["shows"]])
 
 
 def test_stalled_body_leaves_no_traceback(worked_index, monkeypatch,

@@ -1,10 +1,19 @@
+import logging
+import os
 import random
+import shutil
+import subprocess
+import sys
+import zlib
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asrspell import (IndexFormatError, IndexManifest, build_index,
                       load_index, normalize_token, save_index)
+from asrspell import store
 from asrspell.store import MANIFEST_FILE, tokenize_line
 
 
@@ -30,6 +39,18 @@ def recount(lines, max_order=5):
             tables[k - 1].update(" ".join(tokens[i:i + k])
                                  for i in range(len(tokens) - k + 1))
     return tables
+
+
+def boundary_corpus(vocab_size):
+    """Lines over `vocab_size` words, every word among them."""
+    rng = random.Random(vocab_size)
+    words = [f"w{i}" for i in range(vocab_size)]
+    return [" ".join(words)] + [
+        " ".join(rng.choices(words, k=rng.randint(1, 12)))
+        for _ in range(300)]
+
+
+BOUNDARY_VOCAB_SIZES = [1, 2, 3, 16, 17, 256, 257, 4096, 4097]
 
 
 class TestNormalizeToken:
@@ -166,17 +187,12 @@ class TestLookups:
     def test_absent_queries_count_zero(self, tiny_index, query):
         assert tiny_index.ngram_count([query]) == [0]
 
-    @pytest.mark.parametrize("vocab_size", [1, 2, 3, 16, 17, 256, 257,
-                                            4096, 4097])
+    @pytest.mark.parametrize("vocab_size", BOUNDARY_VOCAB_SIZES)
     def test_packed_counts_exact_at_id_width_boundary(self, vocab_size,
                                                       tmp_path):
         # 2^b words fill b-bit ids; one word more needs b + 1 bits. At 4097
         # words a 5-gram key no longer fits 63 bits.
-        rng = random.Random(vocab_size)
-        words = [f"w{i}" for i in range(vocab_size)]
-        lines = [" ".join(words)]
-        lines += [" ".join(rng.choices(words, k=rng.randint(1, 12)))
-                  for _ in range(300)]
+        lines = boundary_corpus(vocab_size)
         index = build_index(lines)
         expected = recount(lines)
         assert len(index.vocab) == vocab_size
@@ -265,6 +281,15 @@ class TestPersistence:
         loaded = load_index(tmp_path / "idx")
         assert loaded.distinct_per_order() == index.distinct_per_order()
 
+    @pytest.mark.parametrize("corpus_id", ["a\tb", "a\rb", "a\nb", "\n"])
+    def test_corpus_id_with_tab_or_line_end_rejected(self, tmp_path,
+                                                     corpus_id):
+        # The manifest could not be read back; nothing is written.
+        index = build_index("the cat", corpus_id=corpus_id)
+        with pytest.raises(ValueError, match="corpus_id"):
+            save_index(index, tmp_path / "idx")
+        assert not (tmp_path / "idx").exists()
+
     def test_missing_gram_file(self, tiny_index, tmp_path):
         save_index(tiny_index, tmp_path / "idx")
         (tmp_path / "idx" / "5gram.tsv").unlink()
@@ -321,6 +346,248 @@ class TestPersistence:
         path.write_text(data, encoding="utf-8")
         with pytest.raises(IndexFormatError, match="token_count"):
             load_index(tmp_path / "idx")
+
+
+def all_tables(index):
+    """Every order's stored n-grams, space-joined, with their counts."""
+    return [dict(index.ngrams(k)) for k in range(1, index.max_order + 1)]
+
+
+def load_from_tsv(root, tmp_path):
+    """The index at `root` loaded from a copy without its sidecars."""
+    copy = tmp_path / "tsv-only"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("*.bin"))
+    return load_index(copy)
+
+
+def flip_byte(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x40
+    path.write_bytes(bytes(data))
+
+
+class TestSidecar:
+    """`<k>gram.bin` loads exactly what `<k>gram.tsv` holds, or is not
+    used at all."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        # More rows than one chunk, and 5-gram keys wider than 63 bits.
+        index = build_index(boundary_corpus(4097), corpus_id="sidecar")
+        save_index(index, tmp_path / "idx")
+        return tmp_path / "idx", index
+
+    def load_logged(self, root, caplog):
+        """Load `root`; return the index, the INFO line and the warnings."""
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="asrspell.store"):
+            index = load_index(root)
+        [info] = [r.getMessage() for r in caplog.records
+                  if r.levelno == logging.INFO]
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        return index, info, warnings
+
+    @pytest.mark.parametrize("vocab_size", BOUNDARY_VOCAB_SIZES)
+    def test_equals_tsv_load_and_built_index(self, vocab_size, tmp_path,
+                                             caplog):
+        index = build_index(boundary_corpus(vocab_size))
+        save_index(index, tmp_path / "idx")
+        loaded, info, warnings = self.load_logged(tmp_path / "idx", caplog)
+        assert "orders [2, 3, 4, 5] from sidecars, [1] from TSV" in info
+        assert warnings == []
+        assert all_tables(loaded) == all_tables(
+            load_from_tsv(tmp_path / "idx", tmp_path)) == all_tables(index)
+
+    @pytest.mark.parametrize("count,sidecar", [
+        (2**32, True), (2**32 + 7, True), (2**63 - 1, True), (2**63, False),
+    ])
+    def test_counts_past_32_bits(self, tmp_path, caplog, count, sidecar):
+        tables = [{"a": 3, "b": 2, "c": 1},
+                  {"a b": count, "b a": 1, "c a": 2**40},
+                  {"a b a": count - 1, "c a b": 1}]
+        write_index_dir(tmp_path / "written", tables, "big")
+        save_index(load_index(tmp_path / "written"), tmp_path / "idx")
+        assert (tmp_path / "idx" / "2gram.bin").exists() == sidecar
+        loaded, info, warnings = self.load_logged(tmp_path / "idx", caplog)
+        assert ("[2, 3] from sidecars" if sidecar
+                else "[3] from sidecars, [1, 2] from TSV") in info
+        assert warnings == []
+        assert all_tables(loaded) == all_tables(
+            load_from_tsv(tmp_path / "idx", tmp_path)) == tables
+
+    def test_deleted(self, saved, tmp_path, caplog):
+        root, index = saved
+        (root / "3gram.bin").unlink()
+        loaded, info, warnings = self.load_logged(root, caplog)
+        assert "orders [2, 4, 5] from sidecars, [1, 3] from TSV" in info
+        assert warnings == []  # a missing sidecar is no fault
+        assert all_tables(loaded) == all_tables(index)
+
+    def test_directory_without_sidecars(self, saved, tmp_path, caplog):
+        # As an index saved before sidecars existed.
+        root, index = saved
+        for path in root.glob("*.bin"):
+            path.unlink()
+        loaded, info, warnings = self.load_logged(root, caplog)
+        assert "orders none from sidecars, [1, 2, 3, 4, 5] from TSV" in info
+        assert warnings == []
+        assert all_tables(loaded) == all_tables(index)
+
+    @pytest.mark.parametrize("keep", [0, 10, 63, 64, 65, 1000, -1])
+    def test_truncated(self, saved, tmp_path, caplog, keep):
+        root, index = saved
+        path = root / "3gram.bin"
+        path.write_bytes(path.read_bytes()[:keep])
+        loaded, info, warnings = self.load_logged(root, caplog)
+        assert "[1, 3] from TSV" in info
+        assert len(warnings) == 1 and str(path) in warnings[0]
+        assert all_tables(loaded) == all_tables(index)
+
+    def test_longer_than_recorded(self, saved, tmp_path, caplog):
+        root, index = saved
+        path = root / "3gram.bin"
+        path.write_bytes(path.read_bytes() + bytes(20))
+        loaded, info, warnings = self.load_logged(root, caplog)
+        assert "[1, 3] from TSV" in info and len(warnings) == 1
+        assert all_tables(loaded) == all_tables(index)
+
+    def test_any_header_byte_flipped(self, tmp_path, caplog):
+        index = build_index(boundary_corpus(17))
+        root = tmp_path / "idx"
+        save_index(index, root)
+        path = root / "2gram.bin"
+        good = path.read_bytes()
+        for offset in range(store._SIDECAR_HEADER.size):
+            flip_byte(path, offset)
+            loaded, info, warnings = self.load_logged(root, caplog)
+            assert "[1, 2] from TSV" in info, offset
+            assert len(warnings) == 1 and str(path) in warnings[0]
+            assert dict(loaded.ngrams(2)) == dict(index.ngrams(2))
+            path.write_bytes(good)
+
+    @pytest.mark.parametrize("row,byte", [
+        (0, 0), (0, 3), (0, 19), (1, 4), (700, 13), (-1, 0), (-1, 12),
+        (-1, 19),
+    ])
+    def test_payload_byte_flipped(self, saved, tmp_path, caplog, row, byte):
+        # 3-gram rows are 20 bytes: three uint32 ids, then an int64 count.
+        root, index = saved
+        path = root / "3gram.bin"
+        rows = (path.stat().st_size - store._SIDECAR_HEADER.size) // 20
+        flip_byte(path, store._SIDECAR_HEADER.size + row % rows * 20 + byte)
+        loaded, info, warnings = self.load_logged(root, caplog)
+        assert "[1, 3] from TSV" in info
+        assert len(warnings) == 1 and str(path) in warnings[0]
+        assert all_tables(loaded) == all_tables(index)
+
+    @pytest.mark.parametrize("defect", [
+        "id out of range", "count below 1", "negative count", "rows swapped",
+        "rows swapped across chunks", "row repeated", "rows missing"])
+    def test_rows_failing_a_check_despite_valid_digests(
+            self, saved, tmp_path, caplog, defect):
+        root, index = saved
+        path = root / "2gram.bin"
+        header = store._SIDECAR_HEADER
+        data = path.read_bytes()
+        rows = np.frombuffer(data[header.size:],
+                             dtype=store._sidecar_row(2)).copy()
+        if defect == "id out of range":
+            rows["ids"][5, 1] = len(index.vocab)
+        elif defect == "count below 1":
+            rows["count"][5] = 0
+        elif defect == "negative count":
+            rows["count"][5] = -3
+        elif defect == "rows swapped":
+            rows[[5, 6]] = rows[[6, 5]]
+        elif defect == "rows swapped across chunks":
+            rows[[2047, 2048]] = rows[[2048, 2047]]
+        elif defect == "row repeated":
+            rows[6] = rows[5]
+        else:
+            rows = rows[:-1]  # the header still records every row
+        payload = rows.tobytes()
+        fields = list(header.unpack(data[:header.size]))
+        fields[-1] = zlib.crc32(payload)
+        path.write_bytes(header.pack(*fields) + payload)
+        loaded, info, warnings = self.load_logged(root, caplog)
+        assert "[1, 2] from TSV" in info
+        assert len(warnings) == 1 and str(path) in warnings[0]
+        assert all_tables(loaded) == all_tables(index)
+
+    @pytest.mark.parametrize("same_length", [True, False])
+    def test_tsv_rewritten_after_save(self, saved, tmp_path, caplog,
+                                      same_length):
+        root, index = saved
+        path = root / "2gram.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        key, count = lines[5].rstrip("\n").split("\t")
+        if same_length:
+            bumped = str(int(count) + 1)
+            assert len(bumped) == len(count)
+            lines[5] = f"{key}\t{bumped}\n"
+        else:
+            del lines[5]
+        path.write_text("".join(lines), encoding="utf-8")
+        loaded, info, warnings = self.load_logged(root, caplog)
+        assert "orders [3, 4, 5] from sidecars, [1, 2] from TSV" in info
+        assert warnings == [f"{root / '2gram.bin'}: skipped, reading "
+                            f"2gram.tsv instead: 2gram.tsv changed since it "
+                            f"was written"]
+        assert all_tables(loaded) == all_tables(load_from_tsv(root, tmp_path))
+        assert dict(loaded.ngrams(2)) != dict(index.ngrams(2))
+
+    def test_unigrams_shift_every_id(self, tmp_path, caplog):
+        # Same vocabulary size and the same n-gram files, but "a" replaces
+        # the unused "z": every id of a word in 2gram.tsv moves up by one.
+        tables = [{"b": 2, "c": 1, "z": 1}, {"b c": 1, "c b": 1}]
+        write_index_dir(tmp_path / "written", tables, "shift")
+        root = tmp_path / "idx"
+        save_index(load_index(tmp_path / "written"), root)
+        gram2 = (root / "2gram.tsv").read_bytes()
+        (root / "1gram.tsv").write_text("a\t1\nb\t2\nc\t1\n",
+                                        encoding="utf-8")
+        assert (root / "2gram.tsv").read_bytes() == gram2
+        loaded, info, warnings = self.load_logged(root, caplog)
+        assert "[1, 2] from TSV" in info
+        assert warnings == [f"{root / '2gram.bin'}: skipped, reading "
+                            f"2gram.tsv instead: 1gram.tsv changed since it "
+                            f"was written"]
+        assert all_tables(loaded) == [{"a": 1, "b": 2, "c": 1},
+                                      {"b c": 1, "c b": 1}]
+
+    def test_corrupt_tsv_beside_valid_looking_sidecar(self, saved, caplog):
+        root, _ = saved
+        path = root / "4gram.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "w1 w2 w3\t4\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(IndexFormatError) as info:
+            load_index(root)
+        assert str(info.value) == f"{path}:3: key 'w1 w2 w3' is not a 4-gram"
+
+    def test_smaller_max_order_saved_over_larger(self, saved, tmp_path,
+                                                 caplog):
+        root, _ = saved
+        smaller = build_index(boundary_corpus(17), max_order=3)
+        save_index(smaller, root)
+        loaded, info, warnings = self.load_logged(root, caplog)
+        assert "orders [2, 3] from sidecars, [1] from TSV" in info
+        assert warnings == []
+        assert all_tables(loaded) == all_tables(smaller) == all_tables(
+            load_from_tsv(root, tmp_path))
+
+    def test_checks_hold_under_optimize(self):
+        # The row checks must not be asserts: run their tests under -O.
+        tests = Path(__file__).resolve()
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p",
+             "no:cacheprovider", f"{tests}::TestSidecar", "-k",
+             "rows_failing or header_byte"],
+            cwd=tests.parent.parent, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(tests.parent.parent / "src")},
+            timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_concurrent_lookups(worked_index):
