@@ -73,6 +73,8 @@ def select_correction(queries: list[ContextQuery], backend,
                       config: PipelineConfig | None = None) -> CorrectionDecision:
     """Pick the query with the highest context count, backing off one order
     at a time (dropping the oldest prefix token) while every count is zero.
+    Every query must hold the same prefix, else ValueError: the counts of
+    different contexts are not comparable.
 
     Ties break by query position, i.e. candidate rank. `chosen` is None
     only when no order produced a nonzero count -- with backoff enabled
@@ -89,6 +91,8 @@ def select_correction(queries: list[ContextQuery], backend,
     """
     if not queries:
         raise ValueError("queries must be non-empty")
+    if any(q.prefix != queries[0].prefix for q in queries):
+        raise ValueError("queries must share one context prefix")
     config = config or PipelineConfig()
     full_order = queries[0].order
     orders = range(full_order, 0, -1) if config.backoff_enabled else [full_order]

@@ -18,7 +18,7 @@ from pathlib import Path
 from random import Random
 
 from asrspell.candidates import words_sharing_bigrams
-from asrspell.detect import splice, tokenize
+from asrspell.detect import _exempt, splice, tokenize
 from asrspell.store import normalize_token
 
 log = logging.getLogger(__name__)
@@ -30,6 +30,9 @@ _MAX_ATTEMPTS = 100
 # are skipped rather than corrupted into unrecoverable noise.
 _MIN_NONWORD_LEN = 4
 _MIN_REALWORD_LEN = 3
+# A real-word swap's partner shares at least this many distinct character
+# bigrams with the original.
+_MIN_SHARED_BIGRAMS = 2
 
 
 class CorruptionKind(Enum):
@@ -50,7 +53,6 @@ class CorruptionSpec:
     nonword_rate: float = 0.0
     realword_rate: float = 0.0
     seed: int = 0
-    min_shared_bigrams: int = 2
 
     def __post_init__(self):
         for name in ("nonword_rate", "realword_rate"):
@@ -87,14 +89,13 @@ def inject_errors(text: str, backend, spec: CorruptionSpec) -> InjectionResult:
             kind = CorruptionKind.REALWORD
         else:
             continue
-        if any(c.isdigit() for c in token):
+        if _exempt(token):
             log.debug("skipping %r at %d: contains digits", token, i)
             continue
         if kind is CorruptionKind.NONWORD:
             corrupted = _nonword_edit(token, backend, rng)
         else:
-            corrupted = _realword_swap(token, backend, rng,
-                                       spec.min_shared_bigrams)
+            corrupted = _realword_swap(token, backend, rng)
         if corrupted is None:
             log.debug("skipping %r at %d: no %s corruption found",
                       token, i, kind.value)
@@ -128,11 +129,10 @@ def _nonword_edit(token: str, backend, rng: Random) -> str | None:
     return None
 
 
-def _realword_swap(token: str, backend, rng: Random,
-                   min_shared: int) -> str | None:
+def _realword_swap(token: str, backend, rng: Random) -> str | None:
     if len(token) < _MIN_REALWORD_LEN or not backend.unigram_exists(token):
         return None
-    partners = words_sharing_bigrams(token, backend, min_shared)
+    partners = words_sharing_bigrams(token, backend, _MIN_SHARED_BIGRAMS)
     if not partners:
         return None
     return partners[rng.randrange(len(partners))]

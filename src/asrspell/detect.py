@@ -8,12 +8,18 @@ itself does.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 from asrspell.candidates import generate_candidates
 from asrspell.store import normalize_token
+
+
+# The chunks str.split() gives: \s matches exactly the str.isspace()
+# characters.
+_CHUNK = re.compile(r"\S+")
 
 
 class ErrorKind(Enum):
@@ -47,26 +53,17 @@ def tokenize(text: str) -> Transcript:
     """
     tokens: list[str] = []
     spans: list[tuple[int, int]] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        end = pos
-        while end < n and not text[end].isspace():
-            end += 1
-        start, stop = pos, end
-        while start < stop and not text[start].isalnum():
-            start += 1
-        while stop > start and not text[stop - 1].isalnum():
-            stop -= 1
+    for chunk in _CHUNK.finditer(text):
+        start, stop = chunk.span()
+        if not chunk.group().isalnum():
+            while start < stop and not text[start].isalnum():
+                start += 1
+            while stop > start and not text[stop - 1].isalnum():
+                stop -= 1
         token = normalize_token(text[start:stop])
         if token is not None:
             tokens.append(token)
             spans.append((start, stop))
-        pos = end
     return Transcript(raw=text, tokens=tokens, spans=spans)
 
 

@@ -2,19 +2,21 @@
 
 Protocol (HTTP/1.1 with keep-alive, UTF-8, plain text bodies, no auth):
 
-    GET /v1/unigram?q=<token>                  -> count as decimal text
-    GET /v1/ngram?q=<tokens, '+'-separated>    -> count (1..5 tokens)
     POST /v1/ngram                             -> one count per line
         body: one query per line, its 1..5 tokens space-separated; at
         most MAX_BATCH_BYTES (64 KiB), sent with a Content-Length
-    GET /v1/postings?q=<2 chars>               -> newline-separated words,
-                                                  capped at 1000
     GET /v1/candidates?b=<2 chars>&b=...&k=<k>[&exclude=<word>]
                                                -> top-k words by shared
                                                   bigrams, one
                                                   word<TAB>shared<TAB>count
                                                   line each
+    GET /v1/postings?q=<2 chars>               -> newline-separated words,
+                                                  capped at 1000
     GET /v1/manifest                           -> manifest TSV
+
+One route per Backend method: POST /v1/ngram serves ngram_count and
+unigram_exists, /v1/candidates rank_by_shared_bigrams, /v1/postings
+unigrams_containing_bigram and /v1/manifest max_order.
 
 Malformed queries get 400 with a one-line reason; a batch is rejected
 whole when any line is malformed. A POST without Content-Length gets 411
@@ -88,8 +90,6 @@ def _make_handler(index: NgramIndex):
         def do_GET(self):
             url = urllib.parse.urlparse(self.path)
             self._answer({
-                "/v1/unigram": self._unigram,
-                "/v1/ngram": self._ngram,
                 "/v1/postings": self._postings,
                 "/v1/candidates": self._candidates,
                 "/v1/manifest": self._manifest,
@@ -130,16 +130,6 @@ def _make_handler(index: NgramIndex):
             else:
                 self._reply(200, body)
 
-        def _unigram(self, query: str) -> str:
-            token = _single_param(query)
-            if not token or " " in token:
-                raise _BadRequest("q must be a single token")
-            return f"{index.ngram_count([[token]])[0]}\n"
-
-        def _ngram(self, query: str) -> str:
-            tokens = _query_tokens(_single_param(query), index.max_order)
-            return f"{index.ngram_count([tokens])[0]}\n"
-
         def _ngram_batch(self, body: bytes) -> str:
             try:
                 text = body.decode("utf-8")
@@ -148,19 +138,24 @@ def _make_handler(index: NgramIndex):
             lines = text.split("\n")
             if lines[-1] == "":
                 lines.pop()  # the last query's line end
-            queries = []
-            for lineno, line in enumerate(lines, start=1):
-                try:
-                    queries.append(_query_tokens(line, index.max_order))
-                except _BadRequest as exc:
-                    raise _BadRequest(f"line {lineno}: {exc}") from None
+            limit = index.max_order
+            queries = [line.split(" ") for line in lines]
+            for lineno, tokens in enumerate(queries, start=1):
+                if "" in tokens:
+                    raise _BadRequest(
+                        f"line {lineno}: a query must be 1..{limit} tokens "
+                        f"separated by single spaces")
+                if len(tokens) > limit:
+                    raise _BadRequest(f"line {lineno}: query order "
+                                      f"{len(tokens)} exceeds maximum {limit}")
             return "".join(f"{c}\n" for c in index.ngram_count(queries))
 
         def _postings(self, query: str) -> str:
-            bigram = _single_param(query)
-            if len(bigram) != 2:
-                raise _BadRequest("q must be exactly 2 characters")
-            words = index.unigrams_containing_bigram(bigram)[:POSTINGS_CAP]
+            params = urllib.parse.parse_qs(query, keep_blank_values=True)
+            bigram = params.get("q", [])
+            if len(bigram) != 1 or len(bigram[0]) != 2:
+                raise _BadRequest("exactly one q of 2 characters required")
+            words = index.unigrams_containing_bigram(bigram[0])[:POSTINGS_CAP]
             return "".join(w + "\n" for w in words)
 
         def _candidates(self, query: str) -> str:
@@ -205,27 +200,6 @@ def _make_handler(index: NgramIndex):
 
 class _BadRequest(Exception):
     pass
-
-
-def _query_tokens(raw: str, max_order: int) -> list[str]:
-    """The tokens of one space-separated query, or _BadRequest."""
-    tokens = raw.split(" ") if raw else []
-    if not tokens or "" in tokens:
-        raise _BadRequest(f"a query must be 1..{PROTOCOL_MAX_ORDER} tokens "
-                          f"separated by single spaces")
-    limit = min(PROTOCOL_MAX_ORDER, max_order)
-    if len(tokens) > limit:
-        raise _BadRequest(
-            f"query order {len(tokens)} exceeds maximum {limit}")
-    return tokens
-
-
-def _single_param(query: str) -> str:
-    params = urllib.parse.parse_qs(query, keep_blank_values=True)
-    values = params.get("q", [])
-    if len(values) != 1:
-        raise _BadRequest("exactly one q parameter required")
-    return values[0]
 
 
 class RemoteBackend:

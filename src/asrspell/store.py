@@ -61,6 +61,8 @@ _MANIFEST_KEYS = ("corpus_id", "max_order", "token_count",
 _SIDECAR_HEADER = struct.Struct("<8sIQQQIQIQI")
 _SIDECAR_MAGIC = b"asrsng\x00\x01"
 _SIDECAR_CHUNK_ROWS = 2048
+# Every count is an int64, as a sidecar row holds it.
+_MAX_COUNT = 2**63 - 1
 
 
 class IndexFormatError(ValueError):
@@ -178,8 +180,8 @@ class NgramIndex:
 
     def _rows(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         """The stored `order`-grams, order >= 2, in token-sequence order:
-        an (n, order) uint32 array of their word ids and an array of their
-        counts (int64, or Python ints when one does not fit)."""
+        an (n, order) uint32 array of their word ids and an int64 array of
+        their counts."""
         table = self._tables[order - 1]
         if _key_dtype(order, self._bits) is object:
             # Keys wider than int64 stay Python ints, which sorted() orders
@@ -187,11 +189,8 @@ class NgramIndex:
             keys = np.array(sorted(table), dtype=object)
         else:
             keys = np.sort(np.fromiter(table, np.int64, len(table)))
-        counts = list(map(table.__getitem__, keys.tolist()))
-        try:
-            counts = np.array(counts, dtype=np.int64)
-        except OverflowError:
-            counts = np.array(counts, dtype=object)
+        counts = np.array(list(map(table.__getitem__, keys.tolist())),
+                          dtype=np.int64)
         bits, mask = self._bits, (1 << self._bits) - 1
         ids = np.empty((len(keys), order), dtype=np.uint32)
         for column, shift in enumerate(range((order - 1) * bits, -1, -bits)):
@@ -339,24 +338,22 @@ def save_index(index: NgramIndex, path: str | os.PathLike) -> None:
     vocab_size = len(index.vocab)
     for k in range(2, index.max_order + 1):
         ids, counts = index._rows(k)
-        sidecar = root / f"{k}gram.bin"
-        payload = None
-        if counts.dtype != object:  # else a count would not fit a row
-            # The TSV is written from the payload's columns, so the rows
-            # are held once.
-            payload = np.empty(len(ids), dtype=_sidecar_row(k))
-            payload["ids"], payload["count"] = ids, counts
-            ids, counts = payload["ids"], payload["count"]
+        # The TSV is written from the payload's columns, so the rows are
+        # held once.
+        payload = np.empty(len(ids), dtype=_sidecar_row(k))
+        payload["ids"], payload["count"] = ids, counts
+        ids, counts = payload["ids"], payload["count"]
         grams = _write_lines(root / f"{k}gram.tsv", (
             f"{key}\t{count}\n" for key, count in index._joined(ids, counts)))
-        if payload is None:
-            sidecar.unlink(missing_ok=True)
-            continue
-        with open(sidecar, "wb") as f:
+        with open(root / f"{k}gram.bin", "wb") as f:
             f.write(_SIDECAR_HEADER.pack(
                 _SIDECAR_MAGIC, k, vocab_size, len(ids), *unigrams, *grams,
                 payload.nbytes, zlib.crc32(payload)))
             f.write(payload)
+    # A larger index saved here before left orders this one does not have.
+    for k in range(index.max_order + 1, 6):
+        (root / f"{k}gram.tsv").unlink(missing_ok=True)
+        (root / f"{k}gram.bin").unlink(missing_ok=True)
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> tuple[int, int]:
@@ -555,9 +552,9 @@ def _read_gram_file(path: Path, order: int, word_id: dict[str, int],
             except ValueError:
                 raise IndexFormatError(
                     f"{path}:{lineno}: count {count_text!r} is not an integer")
-            if count < 1:
-                raise IndexFormatError(
-                    f"{path}:{lineno}: count must be >= 1, got {count}")
+            if not 1 <= count <= _MAX_COUNT:
+                raise IndexFormatError(f"{path}:{lineno}: count must be "
+                                       f">= 1 and <= 2**63 - 1, got {count}")
             packed = key if order == 1 else _pack(word_id, bits, tokens)
             if packed is None:
                 missing = next(t for t in tokens if t not in word_id)

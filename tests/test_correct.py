@@ -140,6 +140,14 @@ class TestSelectCorrection:
         with pytest.raises(ValueError):
             select_correction([], worked_index)
 
+    def test_queries_with_different_prefixes_rejected(self, worked_index):
+        # Scored as one, "shows" (unigram count 7) would beat the 4-gram
+        # count of "haws" under an order-4 label it never had.
+        queries = [ContextQuery(("of", "your", "favorite"), "haws"),
+                   ContextQuery((), "shows")]
+        with pytest.raises(ValueError, match="one context prefix"):
+            select_correction(queries, worked_index)
+
 
 def unpruned_select(queries, backend, config):
     """Reference: select_correction counting every query at every order,
@@ -192,8 +200,8 @@ def synth_selection(synth_texts):
 
 
 def _mixed_prefix_queries(index, query_sets, rng):
-    """Queries whose prefixes differ in tokens and in length: the public
-    API allows them, the pipeline never makes them."""
+    """Query sets whose prefixes mostly differ in tokens and in length:
+    select_correction rejects those, and the pipeline never makes them."""
     vocab = sorted(index.vocab)
     prefixes = [qs[0].prefix for qs in query_sets]
     mixed = []
@@ -226,9 +234,16 @@ class TestSelectionContextBound:
         index, query_sets = synth_selection
         config = PipelineConfig(backoff_enabled=backoff)
         rng = random.Random(5)
+        shared = 0
         for queries in _mixed_prefix_queries(index, query_sets, rng):
+            if len({q.prefix for q in queries}) > 1:
+                with pytest.raises(ValueError, match="one context prefix"):
+                    select_correction(queries, index, config)
+                continue
+            shared += 1
             assert select_correction(queries, index, config) == \
                 unpruned_select(queries, index, config)
+        assert 0 < shared < 120
 
     def test_unattested_context_costs_one_lookup(self, worked_index):
         # "zebra of your favorite" never occurs; "of your favorite" does.

@@ -5,6 +5,7 @@ import pytest
 from asrspell import (CorruptionKind, CorruptionSpec, build_index,
                       inject_errors, load_ground_truth, save_ground_truth,
                       shared_bigram_count, tokenize)
+from asrspell.corrupt import _MIN_SHARED_BIGRAMS
 
 CORPUS = """
 the quick brown foxes jumped over the lazy hounds near the river
@@ -77,7 +78,7 @@ def test_realword_records_are_vocab_and_share_bigrams(index):
         assert r.original != r.corrupted
         assert index.unigram_exists(r.corrupted)
         assert shared_bigram_count(r.original, r.corrupted) >= \
-            spec.min_shared_bigrams
+            _MIN_SHARED_BIGRAMS
 
 
 def test_token_count_preserved(index):

@@ -44,6 +44,50 @@ class TestTokenize:
     def test_punctuation_only_chunks_dropped(self):
         assert tokenize("... --- !!!").tokens == []
 
+    def test_matches_character_scan(self):
+        rng = random.Random(17)
+        alphabet = (" \t\n.,'-!Ab9\u00e9\u0130\u00b2\u0663\u00a0\u2028"
+                    "\u3000\x1c\x85\ufeff\U0001d400")
+        texts = ["".join(rng.choice(alphabet)
+                         for _ in range(rng.randint(0, 40)))
+                 for _ in range(3000)]
+        texts += ["".join(chr(rng.randrange(sys.maxunicode + 1))
+                          for _ in range(rng.randint(0, 20)))
+                  for _ in range(2000)]
+        spaces = [chr(c) for c in range(sys.maxunicode + 1)
+                  if chr(c).isspace()]
+        texts += [f"a{c}b.{c},{c}" for c in spaces]
+        texts.append(" ".join(spaces) + "x" + "".join(spaces))
+        for text in texts:
+            got = tokenize(text)
+            assert (got.tokens, got.spans) == _scan_tokenize(text), text
+
+
+def _scan_tokenize(text):
+    """The oracle for tokenize(): its tokens and spans, found by scanning
+    for whitespace one character at a time."""
+    tokens, spans = [], []
+    pos, n = 0, len(text)
+    while pos < n:
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos >= n:
+            break
+        end = pos
+        while end < n and not text[end].isspace():
+            end += 1
+        start, stop = pos, end
+        while start < stop and not text[start].isalnum():
+            start += 1
+        while stop > start and not text[stop - 1].isalnum():
+            stop -= 1
+        token = normalize_token(text[start:stop])
+        if token is not None:
+            tokens.append(token)
+            spans.append((start, stop))
+        pos = end
+    return tokens, spans
+
 
 class TestNonwordDetection:
     def test_worked_example(self, worked_index):

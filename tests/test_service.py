@@ -64,19 +64,18 @@ def fetch_error(url, data=None):
 
 class TestProtocol:
     def test_ngram_count_body(self, base_url):
-        status, body = fetch(
-            f"{base_url}/v1/ngram?q=episodes+of+your+favorite+shows")
+        status, body = fetch(f"{base_url}/v1/ngram",
+                             b"episodes of your favorite shows\n")
         assert (status, body) == (200, "7\n")
 
     def test_oov_unigram_is_zero(self, base_url):
-        status, body = fetch(f"{base_url}/v1/unigram?q=shaws")
-        assert (status, body) == (200, "0\n")
+        assert fetch(f"{base_url}/v1/ngram", b"shaws\n") == (200, "0\n")
 
     def test_known_unigram(self, base_url):
-        assert fetch(f"{base_url}/v1/unigram?q=shows") == (200, "7\n")
+        assert fetch(f"{base_url}/v1/ngram", b"shows\n") == (200, "7\n")
 
     def test_six_tokens_rejected(self, base_url):
-        assert fetch_error(f"{base_url}/v1/ngram?q=a+b+c+d+e+f")[0] == 400
+        assert fetch_error(f"{base_url}/v1/ngram", b"a b c d e f\n")[0] == 400
 
     def test_postings_sorted(self, base_url):
         status, body = fetch(f"{base_url}/v1/postings?q=aw")
@@ -94,9 +93,8 @@ class TestProtocol:
         assert body == worked_index.manifest.to_tsv()
 
     @pytest.mark.parametrize("path", [
-        "/v1/unigram", "/v1/unigram?q=", "/v1/unigram?q=two+words",
-        "/v1/postings?q=abc", "/v1/postings?q=a", "/v1/ngram?q=",
-        "/v1/ngram?q=a++b",
+        "/v1/postings", "/v1/postings?q=abc", "/v1/postings?q=a",
+        "/v1/postings?q=aw&q=sh",
     ])
     def test_malformed_queries_get_400_with_reason(self, base_url, path):
         status, reason = fetch_error(base_url + path)
@@ -107,8 +105,13 @@ class TestProtocol:
         assert fetch_error(f"{base_url}/v2/everything")[0] == 404
         assert fetch_error(f"{base_url}/v2/everything", b"shows\n")[0] == 404
 
+    @pytest.mark.parametrize("path", [
+        "/v1/unigram?q=shows", "/v1/ngram?q=favorite+shows"])
+    def test_retired_get_counts_404(self, base_url, path):
+        assert fetch_error(base_url + path)[0] == 404
+
     def test_repeated_queries_identical(self, base_url):
-        bodies = {fetch(f"{base_url}/v1/ngram?q=favorite+shows")[1]
+        bodies = {fetch(f"{base_url}/v1/ngram", b"favorite shows\n")[1]
                   for _ in range(5)}
         assert bodies == {"7\n"}
 
@@ -116,7 +119,7 @@ class TestProtocol:
         results = []
 
         def hit():
-            results.append(fetch(f"{base_url}/v1/unigram?q=shows"))
+            results.append(fetch(f"{base_url}/v1/ngram", b"shows\n"))
 
         threads = [threading.Thread(target=hit) for _ in range(12)]
         for t in threads:
@@ -190,8 +193,8 @@ class TestRemoteBackend:
 
 def test_requests_logged_at_debug(base_url, caplog):
     with caplog.at_level(logging.DEBUG, logger="asrspell.service"):
-        fetch(f"{base_url}/v1/unigram?q=shows")
-    assert '127.0.0.1 "GET /v1/unigram?q=shows HTTP/1.1" 200 -' in \
+        fetch(f"{base_url}/v1/manifest")
+    assert '127.0.0.1 "GET /v1/manifest HTTP/1.1" 200 -' in \
         [r.getMessage() for r in caplog.records]
 
 
@@ -390,18 +393,20 @@ class TestConnections:
             remote.manifest()
         remote.close()
 
-    def test_client_reset_leaves_no_traceback(self, counted, capfd, caplog):
+    def test_client_reset_leaves_no_traceback(self, counted, worked_index,
+                                              capfd, caplog):
         caplog.set_level(logging.DEBUG, logger="asrspell.service")
+        manifest = worked_index.manifest.to_tsv().encode()
         with socket.create_connection(("127.0.0.1", counted.port)) as sock:
-            sock.sendall(b"GET /v1/unigram?q=shows HTTP/1.1\r\n"
+            sock.sendall(b"GET /v1/manifest HTTP/1.1\r\n"
                          b"Host: test\r\n\r\n")
             reply = b""
-            while not reply.endswith(b"\r\n\r\n7\n"):
+            while not reply.endswith(b"\r\n\r\n" + manifest):
                 chunk = sock.recv(4096)
                 assert chunk, f"connection closed after {reply!r}"
                 reply += chunk
             # Half of the next request, then a reset instead of a FIN.
-            sock.sendall(b"GET /v1/ngram?q=favor")
+            sock.sendall(b"GET /v1/mani")
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                             struct.pack("ii", 1, 0))
         [conn] = counted.accepted

@@ -313,6 +313,7 @@ class TestPersistence:
         ("the cat\t3", "not a 1-gram"),
         ("the\tNaN", "not an integer"),
         ("the\t0", ">= 1"),
+        ("the\t9223372036854775808", r"1gram\.tsv:1: .*<= 2\*\*63 - 1"),
         ("the", "ngram<TAB>count"),
     ])
     def test_malformed_gram_lines(self, tiny_index, tmp_path, line, message):
@@ -399,19 +400,23 @@ class TestSidecar:
         assert all_tables(loaded) == all_tables(
             load_from_tsv(tmp_path / "idx", tmp_path)) == all_tables(index)
 
-    @pytest.mark.parametrize("count,sidecar", [
+    @pytest.mark.parametrize("count,fits", [
         (2**32, True), (2**32 + 7, True), (2**63 - 1, True), (2**63, False),
     ])
-    def test_counts_past_32_bits(self, tmp_path, caplog, count, sidecar):
+    def test_counts_past_32_bits(self, tmp_path, caplog, count, fits):
         tables = [{"a": 3, "b": 2, "c": 1},
-                  {"a b": count, "b a": 1, "c a": 2**40},
+                  {"b a": 1, "a b": count, "c a": 2**40},
                   {"a b a": count - 1, "c a b": 1}]
         write_index_dir(tmp_path / "written", tables, "big")
+        if not fits:
+            # Every count is an int64: a larger one is rejected at its line.
+            with pytest.raises(IndexFormatError,
+                               match=r"2gram\.tsv:2: .*<= 2\*\*63 - 1"):
+                load_index(tmp_path / "written")
+            return
         save_index(load_index(tmp_path / "written"), tmp_path / "idx")
-        assert (tmp_path / "idx" / "2gram.bin").exists() == sidecar
         loaded, info, warnings = self.load_logged(tmp_path / "idx", caplog)
-        assert ("[2, 3] from sidecars" if sidecar
-                else "[3] from sidecars, [1, 2] from TSV") in info
+        assert "[2, 3] from sidecars" in info
         assert warnings == []
         assert all_tables(loaded) == all_tables(
             load_from_tsv(tmp_path / "idx", tmp_path)) == tables
@@ -571,6 +576,9 @@ class TestSidecar:
         root, _ = saved
         smaller = build_index(boundary_corpus(17), max_order=3)
         save_index(smaller, root)
+        assert sorted(p.name for p in root.iterdir()) == [
+            "1gram.tsv", "2gram.bin", "2gram.tsv", "3gram.bin", "3gram.tsv",
+            MANIFEST_FILE]
         loaded, info, warnings = self.load_logged(root, caplog)
         assert "orders [2, 3] from sidecars, [1] from TSV" in info
         assert warnings == []
