@@ -1,5 +1,5 @@
 """Lookup backend contract shared by the local index and the HTTP client."""
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from asrspell.candidates import Candidate
 
@@ -18,20 +18,26 @@ class Backend(Protocol):
     lookup source. ``NgramIndex`` satisfies it directly; ``RemoteBackend``
     satisfies it over HTTP, with every answer equal to the local one.
 
-    ``ngram_count`` is a batch: it takes a sequence of queries, each a
-    sequence of 1..max_order tokens, and returns one raw corpus count per
-    query, in order. A query given as a bare string is a ValueError, so a
-    string is never counted as a sequence of characters. The pipeline
-    makes one call per stage: one for non-word detection, at most two
-    for the real-word pass, and one per error's selection, every backoff
-    order included. Over HTTP a call is one request per 64 KiB of
-    queries. ``unigram_exists(token)`` equals a count above 0.
+    Both lookup methods are batches, and a bare string where a sequence
+    is due is a ValueError, so a string is never read as a sequence of
+    characters. A transcript costs one call per pipeline stage, however
+    many errors it has: one ``ngram_count`` for non-word detection, one
+    ``rank_by_shared_bigrams`` for every error's candidates, and one
+    ``ngram_count`` for every error's selection, every backoff order
+    included. The real-word pass adds at most two counts and one
+    ranking. Over HTTP a call is one request per 64 KiB of body.
 
-    ``rank_by_shared_bigrams`` returns the top ``k`` vocabulary words by
-    number of the distinct character ``bigrams`` they contain, then corpus
-    frequency, then word, leaving out ``exclude``; the candidate generator
-    calls it once per error word. ``unigrams_containing_bigram`` is the
-    sorted postings list of one bigram (capped at 1000 words over HTTP).
+    ``ngram_count`` takes a sequence of queries, each a sequence of
+    1..max_order tokens, and returns one raw corpus count per query, in
+    order. ``unigram_exists(token)`` equals a count above 0.
+
+    ``rank_by_shared_bigrams`` takes a sequence of words and returns, for
+    each, its top ``k`` vocabulary words by number of distinct character
+    bigrams shared with it, then corpus frequency, then word. The word
+    itself is never among them, and a word shorter than two characters
+    has none. ``k < 1`` is a ValueError. ``unigrams_containing_bigram``
+    is the sorted postings list of one bigram (capped at 1000 words over
+    HTTP).
     """
 
     @property
@@ -43,6 +49,5 @@ class Backend(Protocol):
 
     def unigrams_containing_bigram(self, bigram: str) -> list[str]: ...
 
-    def rank_by_shared_bigrams(self, bigrams: Iterable[str], k: int,
-                               exclude: str | None = None
-                               ) -> list[Candidate]: ...
+    def rank_by_shared_bigrams(self, words: Sequence[str], k: int
+                               ) -> list[list[Candidate]]: ...

@@ -51,16 +51,11 @@ def generate_candidates(error: str, backend, k: int = 8) -> CandidateSet:
 
     The error word itself is never a candidate. Returns an empty set when
     no vocabulary word shares a bigram with the error (callers leave such
-    errors uncorrected).
+    errors uncorrected). The pipeline ranks all of a transcript's errors
+    in one ``rank_by_shared_bigrams`` call instead; this is the same
+    ranking for one word.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    grams = char_bigrams(error)
-    if not grams:
-        return CandidateSet(error)
-    return CandidateSet(error,
-                        backend.rank_by_shared_bigrams(grams, k=k,
-                                                       exclude=error))
+    return CandidateSet(error, backend.rank_by_shared_bigrams([error], k)[0])
 
 
 def words_sharing_bigrams(token: str, backend, min_shared: int) -> list[str]:

@@ -5,8 +5,11 @@ to shorter contexts when every count is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from asrspell.candidates import CandidateSet, generate_candidates
+# generate_candidates is not called here; it stays importable from this
+# module for the callers that look it up by this name.
+from asrspell.candidates import CandidateSet, generate_candidates  # noqa: F401
 from asrspell.detect import (DetectedError, ErrorKind, Transcript,
                              detect_nonword_errors, detect_realword_suspects,
                              splice, tokenize)
@@ -69,38 +72,62 @@ def _context_prefix(transcript: Transcript, position: int,
     return tuple(transcript.tokens[max(0, position - window):position])
 
 
-def select_correction(queries: list[ContextQuery], backend,
-                      config: PipelineConfig | None = None) -> CorrectionDecision:
+def _orders(queries: list[ContextQuery],
+            config: PipelineConfig) -> range | list[int]:
+    """The orders selection may try, highest first."""
+    full_order = queries[0].order
+    return range(full_order, 0, -1) if config.backoff_enabled else [full_order]
+
+
+def _check_prefixes(queries: list[ContextQuery]) -> None:
+    if not queries:
+        raise ValueError("queries must be non-empty")
+    if any(q.prefix != queries[0].prefix for q in queries):
+        raise ValueError("queries must share one context prefix")
+
+
+def selection_queries(queries: list[ContextQuery],
+                      config: PipelineConfig | None = None
+                      ) -> list[tuple[str, ...]]:
+    """The ``ngram_count`` queries whose counts :func:`select_correction`
+    reads: every query at every order that may be tried, highest order
+    first, in query order within an order.
+
+    No context needs counting first: every occurrence of ``context +
+    word`` is an occurrence of ``context``, so a query whose context
+    never occurs already counts 0.
+    """
+    _check_prefixes(queries)
+    whole = [(*q.prefix, q.candidate) for q in queries]
+    # tokens[-order:] keeps the whole query when order exceeds its own.
+    return [tokens[-order:]
+            for order in _orders(queries, config or PipelineConfig())
+            for tokens in whole]
+
+
+def select_correction(queries: list[ContextQuery], counts: Sequence[int],
+                      config: PipelineConfig | None = None
+                      ) -> CorrectionDecision:
     """Pick the query with the highest context count, backing off one order
     at a time (dropping the oldest prefix token) while every count is zero.
-    Every query must hold the same prefix, else ValueError: the counts of
-    different contexts are not comparable.
+
+    `counts` are those of ``selection_queries(queries, config)``, in that
+    order; the orders are walked top-down over them, exactly as if each
+    were counted in turn. Every query must hold the same prefix, else
+    ValueError: the counts of different contexts are not comparable.
 
     Ties break by query position, i.e. candidate rank. `chosen` is None
     only when no order produced a nonzero count -- with backoff enabled
     that cannot happen for in-vocabulary candidates, because order 1 is
     the candidate's own unigram count.
-
-    Every query at every order that may be tried goes to the backend in
-    one ``ngram_count`` call, so an error costs one lookup round trip
-    however far it backs off. The orders are then walked top-down over
-    those counts, exactly as if each were counted in turn. No context
-    needs counting first: every occurrence of ``context + word`` is an
-    occurrence of ``context``, so a query whose context never occurs
-    already counts 0.
     """
-    if not queries:
-        raise ValueError("queries must be non-empty")
-    if any(q.prefix != queries[0].prefix for q in queries):
-        raise ValueError("queries must share one context prefix")
+    _check_prefixes(queries)
     config = config or PipelineConfig()
-    full_order = queries[0].order
-    orders = range(full_order, 0, -1) if config.backoff_enabled else [full_order]
-    # tokens[-order:] keeps the whole query when order exceeds its own.
-    whole = [(*q.prefix, q.candidate) for q in queries]
-    counts = backend.ngram_count(
-        [tokens[-order:] for order in orders for tokens in whole])
+    orders = _orders(queries, config)
     n = len(queries)
+    if len(counts) != n * len(orders):
+        raise ValueError(f"{len(counts)} counts for {n} queries at "
+                         f"{len(orders)} orders")
     for at, order in enumerate(orders):
         row = counts[at * n:(at + 1) * n]
         best = max(row)
@@ -115,13 +142,17 @@ def select_correction(queries: list[ContextQuery], backend,
 
 def correct_transcript(text: str, backend,
                        config: PipelineConfig | None = None) -> CorrectionResult:
-    """Full pipeline: tokenize, detect, generate candidates, select, splice.
+    """Full pipeline: tokenize, detect, rank candidates, select, splice.
 
     Replacements preserve surrounding punctuation and a leading capital.
     Context prefixes always come from the original token sequence, so the
     outcome does not depend on correction order; run the function a second
     time explicitly if cascaded corrections are wanted. Errors with no
     usable candidates are reported with chosen=None and left verbatim.
+
+    The candidates of every error come from one ``rank_by_shared_bigrams``
+    call, and the selection counts of every error from one
+    ``ngram_count`` call, each error reading its own slice of them.
     """
     config = config or PipelineConfig()
     transcript = tokenize(text)
@@ -132,11 +163,17 @@ def correct_transcript(text: str, backend,
                 transcript, backend, margin=config.realword_margin,
                 window=config.context_window, k=config.top_k),
             key=lambda e: e.position)
+    if not errors:
+        return CorrectionResult(corrected_text=text)
 
-    decisions: list[CorrectionDecision] = []
-    replacements: list[tuple[int, str]] = []
-    for error in errors:
-        cands = generate_candidates(error.token, backend, k=config.top_k)
+    ranked = backend.rank_by_shared_bigrams([e.token for e in errors],
+                                            config.top_k)
+    # Per error: its candidates, its queries and the bounds of its slice
+    # of the selection counts.
+    plans = []
+    batch: list[tuple[str, ...]] = []
+    for error, candidates in zip(errors, ranked, strict=True):
+        cands = CandidateSet(error.token, candidates)
         queries = build_context_queries(
             transcript, error.position, cands, window=config.context_window)
         if error.kind is ErrorKind.REALWORD_SUSPECT:
@@ -145,12 +182,21 @@ def correct_transcript(text: str, backend,
             prefix = _context_prefix(
                 transcript, error.position, config.context_window)
             queries.insert(0, ContextQuery(prefix, error.token))
+        start = len(batch)
+        if queries:
+            batch += selection_queries(queries, config)
+        plans.append((error, cands, queries, start, len(batch)))
+    counts = backend.ngram_count(batch) if batch else []
+
+    decisions: list[CorrectionDecision] = []
+    replacements: list[tuple[int, str]] = []
+    for error, cands, queries, start, stop in plans:
         if not queries:
             decisions.append(CorrectionDecision(
                 chosen=None, scores={}, backoff_order=1,
                 error=error, candidates=cands))
             continue
-        decision = select_correction(queries, backend, config)
+        decision = select_correction(queries, counts[start:stop], config)
         decision.error = error
         decision.candidates = cands
         decisions.append(decision)

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from asrspell.candidates import generate_candidates
+# generate_candidates is not called here; it stays importable from this
+# module for the callers that look it up by this name.
+from asrspell.candidates import generate_candidates  # noqa: F401
 from asrspell.store import normalize_token
 
 
@@ -130,7 +132,8 @@ def detect_realword_suspects(transcript: Transcript, backend,
 
     Counts come in at most two backend calls: one for every checked token's
     unigram, own and prefix counts, one for the candidates of the tokens
-    that survive the bound.
+    that survive the bound. Those tokens are ranked in one
+    ``rank_by_shared_bigrams`` call.
     """
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
@@ -152,8 +155,14 @@ def detect_realword_suspects(transcript: Transcript, backend,
         threshold = margin * max(own, 1)
         if prefix and context < threshold:
             continue  # no candidate can occur more often than its context
-        cands = generate_candidates(token, backend, k=k).words()
-        survivors.append((i, prefix, token, threshold, cands))
+        survivors.append((i, prefix, token, threshold))
+    if not survivors:
+        return []
+    ranked = backend.rank_by_shared_bigrams(
+        [token for _, _, token, _ in survivors], k)
+    survivors = [(*survivor, [c.word for c in candidates])
+                 for survivor, candidates in zip(survivors, ranked,
+                                                 strict=True)]
     counts = count_distinct(backend, (
         (*prefix, cand) for _, prefix, _, _, cands in survivors
         for cand in cands))

@@ -2,43 +2,50 @@
 
 Protocol (HTTP/1.1 with keep-alive, UTF-8, plain text bodies, no auth):
 
-    POST /v1/ngram                             -> one count per line
-        body: one query per line, its 1..5 tokens space-separated; at
-        most MAX_BATCH_BYTES (64 KiB), sent with a Content-Length
-    GET /v1/candidates?b=<2 chars>&b=...&k=<k>[&exclude=<word>]
-                                               -> top-k words by shared
-                                                  bigrams, one
-                                                  word<TAB>shared<TAB>count
-                                                  line each
-    GET /v1/postings?q=<2 chars>               -> newline-separated words,
-                                                  capped at 1000
-    GET /v1/manifest                           -> manifest TSV
+    POST /v1/ngram                   -> one count per line
+        body: one query per line, its 1..5 tokens space-separated
+    POST /v1/candidates?k=<k>        -> one line per word: its top-k
+                                        words by shared bigrams, each as
+                                        word<TAB>shared<TAB>count, all
+                                        tab-separated; empty when the
+                                        word has none
+        body: one word per line
+    GET /v1/postings?q=<2 chars>     -> newline-separated words, capped
+                                        at 1000
+    GET /v1/manifest                 -> manifest TSV
 
 One route per Backend method: POST /v1/ngram serves ngram_count and
-unigram_exists, /v1/candidates rank_by_shared_bigrams, /v1/postings
-unigrams_containing_bigram and /v1/manifest max_order.
+unigram_exists, POST /v1/candidates rank_by_shared_bigrams, /v1/postings
+unigrams_containing_bigram and /v1/manifest max_order. Both POST routes
+answer a batch, one reply line per body line, in order; the last line
+end of a body is optional.
 
-Malformed queries get 400 with a one-line reason; a batch is rejected
-whole when any line is malformed. A POST without Content-Length gets 411
-and one above MAX_BATCH_BYTES gets 413; both close the connection, as the
-body is left unread. Counts are raw corpus occurrences; a zero means "not
-seen", never "server trouble" (faults surface as HTTP errors, which the
-client raises as BackendError). The 1000-word cap applies to /v1/postings
-only: /v1/candidates ranks the whole vocabulary on the server, exactly as
-a local index does.
+Malformed requests get 400 with a one-line reason; a batch is rejected
+whole, with the number of the first bad line, when any line is
+malformed. A POST without Content-Length gets 411 and one whose body is
+above MAX_BATCH_BYTES (64 KiB) gets 413; both close the connection, as
+the body is left unread. Counts are raw corpus occurrences; a zero means
+"not seen", never "server trouble" (faults surface as HTTP errors, which
+the client raises as BackendError). The 1000-word cap applies to
+/v1/postings only: /v1/candidates ranks the whole vocabulary on the
+server, exactly as a local index does.
 
 Connections are kept open between requests; the server closes one after
-IDLE_TIMEOUT_S seconds without a request.
+IDLE_TIMEOUT_S seconds without a request. Each open connection holds one
+worker thread. Past MAX_WORKERS of them a new connection is answered 503
+with Connection: close, and given no thread.
 """
 from __future__ import annotations
 
 import http.client
 import logging
+import socket
 import sys
 import threading
+import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from asrspell.backend import BackendError
 from asrspell.candidates import Candidate
@@ -50,6 +57,10 @@ POSTINGS_CAP = 1000
 PROTOCOL_MAX_ORDER = 5
 IDLE_TIMEOUT_S = 30
 MAX_BATCH_BYTES = 65536
+# Worker threads, one per open connection, that the server runs at once.
+MAX_WORKERS = 32
+# How long a refused connection may take to close after its 503.
+REFUSAL_LINGER_S = 1.0
 
 
 def serve(index: NgramIndex, bind_address: str = "127.0.0.1",
@@ -69,6 +80,55 @@ def serve(index: NgramIndex, bind_address: str = "127.0.0.1",
 
 
 class _Server(ThreadingHTTPServer):
+    def __init__(self, server_address, handler):
+        super().__init__(server_address, handler)
+        self._cap = MAX_WORKERS
+        self._workers = threading.BoundedSemaphore(self._cap)
+
+    def process_request(self, request, client_address):
+        # A worker holds its connection for up to IDLE_TIMEOUT_S between
+        # requests, so the cap bounds threads, not requests.
+        if not self._workers.acquire(blocking=False):
+            self._refuse(request, client_address)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._workers.release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._workers.release()
+
+    def _refuse(self, request, client_address):
+        """Answer 503 on the accepting thread and close the connection."""
+        log.warning("%s refused: all %d workers busy", client_address[0],
+                    self._cap)
+        body = f"server busy: all {self._cap} workers in use\n".encode()
+        deadline = time.monotonic() + REFUSAL_LINGER_S
+        try:
+            request.settimeout(REFUSAL_LINGER_S)
+            request.sendall(
+                b"HTTP/1.1 503 Service Unavailable\r\n"
+                b"Content-Type: text/plain; charset=utf-8\r\n"
+                b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+                % (len(body), body))
+            request.shutdown(socket.SHUT_WR)
+            # Closing with the client's request unread would reset the
+            # connection, and a reset can discard the 503 before the
+            # client reads it. So read until the client closes.
+            while (left := deadline - time.monotonic()) > 0:
+                request.settimeout(left)
+                if not request.recv(4096):
+                    break
+        except OSError:
+            pass  # the client went away, or took too long to
+        finally:
+            self.close_request(request)
+
     def handle_error(self, request, client_address):
         # A kept-alive client that goes away mid-request is not a server
         # fault: one line at DEBUG instead of a traceback on stderr.
@@ -91,7 +151,6 @@ def _make_handler(index: NgramIndex):
             url = urllib.parse.urlparse(self.path)
             self._answer({
                 "/v1/postings": self._postings,
-                "/v1/candidates": self._candidates,
                 "/v1/manifest": self._manifest,
             }.get(url.path), url.query)
 
@@ -102,7 +161,7 @@ def _make_handler(index: NgramIndex):
             if length is None:
                 self._reply(411, "Content-Length required\n", close=True)
                 return
-            if not (length.isascii() and length.isdigit()):
+            if not _digits(length):
                 self._reply(400, f"bad Content-Length {length!r}\n",
                             close=True)
                 return
@@ -116,30 +175,25 @@ def _make_handler(index: NgramIndex):
                 self.close_connection = True  # the client went away
                 return
             url = urllib.parse.urlparse(self.path)
-            self._answer({"/v1/ngram": self._ngram_batch}.get(url.path),
-                         body)
+            self._answer({
+                "/v1/ngram": self._ngram_batch,
+                "/v1/candidates": self._candidates,
+            }.get(url.path), url.query, body)
 
-        def _answer(self, route, arg):
+        def _answer(self, route, *args):
             if route is None:
                 self._reply(404, "unknown endpoint\n")
                 return
             try:
-                body = route(arg)
+                body = route(*args)
             except _BadRequest as exc:
                 self._reply(400, str(exc) + "\n")
             else:
                 self._reply(200, body)
 
-        def _ngram_batch(self, body: bytes) -> str:
-            try:
-                text = body.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _BadRequest(f"body is not UTF-8: {exc}") from None
-            lines = text.split("\n")
-            if lines[-1] == "":
-                lines.pop()  # the last query's line end
+        def _ngram_batch(self, query: str, body: bytes) -> str:
             limit = index.max_order
-            queries = [line.split(" ") for line in lines]
+            queries = [line.split(" ") for line in _body_lines(body)]
             for lineno, tokens in enumerate(queries, start=1):
                 if "" in tokens:
                     raise _BadRequest(
@@ -150,6 +204,21 @@ def _make_handler(index: NgramIndex):
                                       f"{len(tokens)} exceeds maximum {limit}")
             return "".join(f"{c}\n" for c in index.ngram_count(queries))
 
+        def _candidates(self, query: str, body: bytes) -> str:
+            k = query.removeprefix("k=")
+            if not (query.startswith("k=") and _digits(k) and int(k) >= 1):
+                raise _BadRequest(f"the query must be k=<integer >= 1>, "
+                                  f"got {query!r}")
+            words = _body_lines(body)
+            for lineno, word in enumerate(words, start=1):
+                if word.split() != [word]:
+                    raise _BadRequest(f"line {lineno}: a word must be "
+                                      f"non-empty and hold no whitespace")
+            return "".join(
+                "\t".join(f"{c.word}\t{c.shared}\t{c.unigram_count}"
+                          for c in ranked) + "\n"
+                for ranked in index.rank_by_shared_bigrams(words, int(k)))
+
         def _postings(self, query: str) -> str:
             params = urllib.parse.parse_qs(query, keep_blank_values=True)
             bigram = params.get("q", [])
@@ -157,27 +226,6 @@ def _make_handler(index: NgramIndex):
                 raise _BadRequest("exactly one q of 2 characters required")
             words = index.unigrams_containing_bigram(bigram[0])[:POSTINGS_CAP]
             return "".join(w + "\n" for w in words)
-
-        def _candidates(self, query: str) -> str:
-            params = urllib.parse.parse_qs(query, keep_blank_values=True)
-            bigrams = params.get("b", [])
-            if any(len(b) != 2 for b in bigrams):
-                raise _BadRequest("each b must be exactly 2 characters")
-            k = params.get("k", [])
-            if len(k) != 1:
-                raise _BadRequest("exactly one k parameter required")
-            try:
-                top_k = int(k[0])
-            except ValueError:
-                raise _BadRequest("k must be an integer") from None
-            if top_k < 1:
-                raise _BadRequest("k must be >= 1")
-            exclude = params.get("exclude", [None])
-            if len(exclude) != 1:
-                raise _BadRequest("at most one exclude parameter allowed")
-            ranked = index.rank_by_shared_bigrams(bigrams, top_k, exclude[0])
-            return "".join(f"{c.word}\t{c.shared}\t{c.unigram_count}\n"
-                           for c in ranked)
 
         def _manifest(self, query: str) -> str:
             return index.manifest.to_tsv()
@@ -202,17 +250,37 @@ class _BadRequest(Exception):
     pass
 
 
+def _digits(text: str) -> bool:
+    """Whether `text` is a non-empty run of ASCII digits."""
+    return text.isascii() and text.isdigit()
+
+
+def _body_lines(body: bytes) -> list[str]:
+    """The lines of a batch body; the last line's end is optional."""
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _BadRequest(f"body is not UTF-8: {exc}") from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 class RemoteBackend:
     """Backend-contract client for a served index.
 
     Every lookup, candidate ranking included, returns what the index would
     return locally: ranking runs on the server over the whole vocabulary.
-    Only ``unigrams_containing_bigram`` is capped, at 1000 words. A batch
-    of counts goes out as ``POST /v1/ngram`` requests of at most
-    MAX_BATCH_BYTES each, so one ``ngram_count`` call is one request unless
-    its queries take more than 64 KiB. Each thread keeps one persistent
-    connection. Network faults and replies of the wrong shape raise
-    BackendError; they are never folded into a zero count.
+    Only ``unigrams_containing_bigram`` is capped, at 1000 words. Both
+    batch methods post one line per query or word: ``ngram_count`` to
+    ``POST /v1/ngram`` and ``rank_by_shared_bigrams`` to
+    ``POST /v1/candidates``, in requests of at most MAX_BATCH_BYTES each,
+    so a call is one request unless its lines take more than 64 KiB.
+    Input the line format cannot carry is a ValueError before anything is
+    sent. Each thread keeps one persistent connection. Network faults and
+    replies of the wrong shape raise BackendError; they are never folded
+    into a zero count or an empty ranking.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
@@ -235,7 +303,7 @@ class RemoteBackend:
     def max_order(self) -> int:
         if self._max_order is None:
             value = self.manifest().get("max_order", "")
-            if not (value.isascii() and value.isdigit()
+            if not (_digits(value)
                     and 1 <= int(value) <= PROTOCOL_MAX_ORDER):
                 raise BackendError(
                     f"{self._base}/v1/manifest: max_order {value!r} is not "
@@ -267,57 +335,74 @@ class RemoteBackend:
                 raise ValueError(f"tokens must be non-empty and hold no "
                                  f"space or line end: {list(tokens)!r}")
             lines.append(line)
-        if not lines:
-            return []
-        body = ("\n".join(lines) + "\n").encode("utf-8")
-        if len(body) <= MAX_BATCH_BYTES:
-            return self._post_counts(body, len(lines))
-        encoded = [(line + "\n").encode("utf-8") for line in lines]
-        for line in encoded:
-            if len(line) > MAX_BATCH_BYTES:
-                raise ValueError(f"query of {len(line)} bytes exceeds the "
-                                 f"{MAX_BATCH_BYTES}-byte batch limit")
-        counts: list[int] = []
-        for batch in _batches(encoded, MAX_BATCH_BYTES):
-            counts += self._post_counts(b"".join(batch), len(batch))
-        return counts
-
-    def _post_counts(self, body: bytes, expected: int) -> list[int]:
-        """The counts of one POST /v1/ngram body of `expected` queries."""
-        reply = self._call("POST", "/v1/ngram", body=body)
-        values = reply.split("\n")
-        if values.pop() != "" or len(values) != expected:
-            raise BackendError(
-                f"{self._base}/v1/ngram: {expected} queries but the "
-                f"reply is {reply[:200]!r}")
+        values = self._post_lines("/v1/ngram", lines)
         try:
             return list(map(int, values))
         except ValueError:
             raise BackendError(
                 f"{self._base}/v1/ngram: non-numeric count in "
-                f"{reply[:200]!r}") from None
+                f"{values[:20]!r}") from None
 
     def unigrams_containing_bigram(self, bigram: str) -> list[str]:
         if len(bigram) != 2:
             raise ValueError(f"character bigram must have length 2, "
                              f"got {bigram!r}")
-        body = self._call("GET", "/v1/postings", [("q", bigram)])
+        body = self._call(
+            "GET", "/v1/postings?" + urllib.parse.urlencode({"q": bigram}))
         return [line for line in body.split("\n") if line]
 
-    def rank_by_shared_bigrams(self, bigrams: Iterable[str], k: int,
-                               exclude: str | None = None) -> list[Candidate]:
-        params = [("b", gram) for gram in bigrams] + [("k", k)]
-        if exclude:
-            params.append(("exclude", exclude))
-        body = self._call("GET", "/v1/candidates", params)
-        try:
-            return [Candidate(word=word, shared=int(shared),
-                              unigram_count=int(count))
-                    for word, shared, count in
-                    (line.split("\t") for line in body.splitlines())]
-        except ValueError:
+    def rank_by_shared_bigrams(self, words: Sequence[str], k: int
+                               ) -> list[list[Candidate]]:
+        if isinstance(words, str):
+            raise ValueError(f"rank_by_shared_bigrams takes a sequence of "
+                             f"words, not the string {words!r}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        words = list(words)
+        for word in words:
+            if word.split() != [word]:
+                raise ValueError(f"words must be non-empty and hold no "
+                                 f"whitespace: {word!r}")
+        ranked = []
+        for line in self._post_lines(f"/v1/candidates?k={k}", words):
+            fields = line.split("\t") if line else []
+            triples = list(zip(*[iter(fields)] * 3))
+            if 3 * len(triples) != len(fields) or not all(
+                    word and _digits(shared) and _digits(count)
+                    for word, shared, count in triples):
+                raise BackendError(f"{self._base}/v1/candidates: malformed "
+                                   f"reply line {line[:200]!r}")
+            ranked.append([Candidate(word, int(shared), int(count))
+                           for word, shared, count in triples])
+        return ranked
+
+    def _post_lines(self, target: str, lines: list[str]) -> list[str]:
+        """The reply lines to `lines`, one per line and in order, from
+        POSTs to `target` of at most MAX_BATCH_BYTES each."""
+        if not lines:
+            return []
+        body = ("\n".join(lines) + "\n").encode("utf-8")
+        if len(body) <= MAX_BATCH_BYTES:
+            return self._post(target, body, len(lines))
+        encoded = [(line + "\n").encode("utf-8") for line in lines]
+        for line in encoded:
+            if len(line) > MAX_BATCH_BYTES:
+                raise ValueError(f"line of {len(line)} bytes exceeds the "
+                                 f"{MAX_BATCH_BYTES}-byte batch limit")
+        replies: list[str] = []
+        for batch in _batches(encoded, MAX_BATCH_BYTES):
+            replies += self._post(target, b"".join(batch), len(batch))
+        return replies
+
+    def _post(self, target: str, body: bytes, expected: int) -> list[str]:
+        """The reply lines of one POST whose body holds `expected` lines."""
+        reply = self._call("POST", target, body=body)
+        lines = reply.split("\n")
+        if lines.pop() != "" or len(lines) != expected:
             raise BackendError(
-                f"{self._base}/v1/candidates: malformed reply {body!r}")
+                f"{self._base}{target}: {expected} lines sent but the "
+                f"reply is {reply[:200]!r}")
+        return lines
 
     def close(self) -> None:
         """Close the calling thread's connection; its next lookup opens a
@@ -326,14 +411,10 @@ class RemoteBackend:
         if conn is not None:
             conn.close()
 
-    def _call(self, method: str, path: str,
-              params: Sequence[tuple[str, object]] = (),
-              body: bytes | None = None) -> str:
-        target = self._path + path
-        if params:
-            target += "?" + urllib.parse.urlencode(params)
+    def _call(self, method: str, path: str, body: bytes | None = None
+              ) -> str:
         try:
-            status, data = self._request(method, target, body)
+            status, data = self._request(method, self._path + path, body)
         except (OSError, http.client.HTTPException) as exc:
             raise BackendError(f"{self._base}{path}: {exc!r}") from exc
         if status == 200:

@@ -212,19 +212,29 @@ class NgramIndex:
             return []
         return [self._words[i] for i in ids]
 
-    def rank_by_shared_bigrams(self, bigrams: Iterable[str], k: int,
-                               exclude: str | None = None) -> list[Candidate]:
-        """Top-k vocabulary words by distinct shared character bigrams.
+    def rank_by_shared_bigrams(self, words: Sequence[str], k: int
+                               ) -> list[list[Candidate]]:
+        """Each word's top-k vocabulary words by distinct shared character
+        bigrams, the word itself left out.
 
-        The backend-contract method the candidate generator calls once
-        per error word; the ranking itself runs in :mod:`asrspell.kernels`.
+        The backend-contract method the pipeline calls once per stage
+        with every error word; the ranking itself runs in
+        :mod:`asrspell.kernels`, once per word.
         """
-        arrays = [self._postings[g] for g in bigrams if g in self._postings]
+        if isinstance(words, str):
+            raise ValueError(f"rank_by_shared_bigrams takes a sequence of "
+                             f"words, not the string {words!r}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        return [self._rank(word, k) for word in words]
+
+    def _rank(self, word: str, k: int) -> list[Candidate]:
+        postings = self._postings
+        arrays = [postings[g] for g in char_bigrams(word) if g in postings]
         if not arrays:
             return []
-        exclude_id = self._word_id.get(exclude, -1) if exclude else -1
         pairs = kernels.rank_shared_candidates(
-            arrays, self._uni_counts, exclude_id, k)
+            arrays, self._uni_counts, self._word_id.get(word, -1), k)
         return [
             Candidate(word=self._words[wid], shared=shared,
                       unigram_count=int(self._uni_counts[wid]))

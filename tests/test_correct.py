@@ -9,14 +9,22 @@ from asrspell import (BackendError, CorruptionSpec, PipelineConfig,
                       correct_transcript, detect_nonword_errors,
                       generate_candidates, inject_errors, select_correction,
                       tokenize)
-from asrspell.correct import ContextQuery, CorrectionDecision
-from asrspell.detect import _exempt
+from asrspell.correct import (ContextQuery, CorrectionDecision,
+                              selection_queries)
+from asrspell.detect import ErrorKind, _exempt
 from tests._synth import passage_of, synth_corpus
 from tests.conftest import WORKED_ERROR_TEXT, WORKED_SENTENCE
 from tests.test_detect import CountingBackend
 from tests.test_service import _Server
 
 CORRECTED = WORKED_SENTENCE  # what the error text must become
+
+
+def select(queries, backend, config=None):
+    """select_correction over the counts it reads, from one ngram_count
+    call to `backend`."""
+    counts = backend.ngram_count(selection_queries(queries, config))
+    return select_correction(queries, counts, config)
 
 
 def test_pipeline_config_validation():
@@ -92,7 +100,7 @@ class TestSelectCorrection:
         transcript = tokenize(WORKED_ERROR_TEXT)
         cands = generate_candidates("shaws", worked_index, k=8)
         queries = build_context_queries(transcript, 5, cands)
-        decision = select_correction(queries, worked_index)
+        decision = select(queries, worked_index)
         assert decision.chosen == "shows"
         assert decision.backoff_order == 5
         assert decision.scores["shows"] == (5, 7)
@@ -100,7 +108,7 @@ class TestSelectCorrection:
 
     def test_singleton_candidate(self, worked_index):
         queries = [ContextQuery(("your", "favorite"), "shows")]
-        decision = select_correction(queries, worked_index)
+        decision = select(queries, worked_index)
         assert decision.chosen == "shows"
         assert decision.backoff_order == 3
 
@@ -114,7 +122,7 @@ class TestSelectCorrection:
         transcript = tokenize(WORKED_ERROR_TEXT)
         cands = generate_candidates("shaws", index, k=8)
         queries = build_context_queries(transcript, 5, cands)
-        decision = select_correction(queries, index)
+        decision = select(queries, index)
         assert decision.chosen == "shows"
         assert decision.backoff_order == 3
         assert decision.scores["shows"] == (3, 3)
@@ -126,19 +134,33 @@ class TestSelectCorrection:
         transcript = tokenize(WORKED_ERROR_TEXT)
         cands = generate_candidates("shaws", index, k=8)
         queries = build_context_queries(transcript, 5, cands)
-        decision = select_correction(
+        decision = select(
             queries, index, PipelineConfig(backoff_enabled=False))
         assert decision.chosen is None
         assert decision.backoff_order == 5
 
     def test_tie_breaks_by_candidate_rank(self, worked_index):
         queries = [ContextQuery((), "haws"), ContextQuery((), "maws")]
-        decision = select_correction(queries, worked_index)
+        decision = select(queries, worked_index)
         assert decision.chosen == "haws"  # both count 1, first rank wins
 
-    def test_empty_queries_rejected(self, worked_index):
+    def test_empty_queries_rejected(self):
         with pytest.raises(ValueError):
-            select_correction([], worked_index)
+            selection_queries([])
+        with pytest.raises(ValueError):
+            select_correction([], [])
+
+    def test_counts_of_wrong_length_rejected(self, worked_index):
+        queries = [ContextQuery(("your", "favorite"), w)
+                   for w in ["shows", "haws"]]
+        counts = worked_index.ngram_count(selection_queries(queries))
+        assert len(counts) == 6  # two queries at orders 3, 2 and 1
+        for wrong in [counts[:-1], counts + [0], counts[:2]]:
+            with pytest.raises(ValueError, match="counts for 2 queries"):
+                select_correction(queries, wrong)
+        with pytest.raises(ValueError, match="counts for 2 queries"):
+            select_correction(queries, counts,
+                              PipelineConfig(backoff_enabled=False))
 
     def test_queries_with_different_prefixes_rejected(self, worked_index):
         # Scored as one, "shows" (unigram count 7) would beat the 4-gram
@@ -146,7 +168,9 @@ class TestSelectCorrection:
         queries = [ContextQuery(("of", "your", "favorite"), "haws"),
                    ContextQuery((), "shows")]
         with pytest.raises(ValueError, match="one context prefix"):
-            select_correction(queries, worked_index)
+            selection_queries(queries)
+        with pytest.raises(ValueError, match="one context prefix"):
+            select_correction(queries, [0, 7] * 4)
 
 
 def unpruned_select(queries, backend, config):
@@ -180,6 +204,13 @@ def synth_texts():
         text = passage_of(corpus if i % 2 else fresh, 40, start_line=i)
         spec = CorruptionSpec(nonword_rate=0.1, seed=i)
         texts.append(inject_errors(text, index, spec).corrupted_text)
+    # Two transcripts as dense in errors as ASR output at a high word
+    # error rate, and one with none.
+    for i in range(16, 18):
+        text = passage_of(fresh, 40, start_line=i)
+        spec = CorruptionSpec(nonword_rate=0.3, seed=i)
+        texts.append(inject_errors(text, index, spec).corrupted_text)
+    texts.append(passage_of(corpus, 40, start_line=18))
     return index, texts
 
 
@@ -224,7 +255,7 @@ class TestSelectionContextBound:
         config = PipelineConfig(backoff_enabled=backoff)
         orders = set()
         for queries in query_sets:
-            got = select_correction(queries, index, config)
+            got = select(queries, index, config)
             assert got == unpruned_select(queries, index, config)
             orders.add(got.backoff_order)
         assert len(orders) >= 3  # backoff really happens
@@ -238,10 +269,10 @@ class TestSelectionContextBound:
         for queries in _mixed_prefix_queries(index, query_sets, rng):
             if len({q.prefix for q in queries}) > 1:
                 with pytest.raises(ValueError, match="one context prefix"):
-                    select_correction(queries, index, config)
+                    select(queries, index, config)
                 continue
             shared += 1
-            assert select_correction(queries, index, config) == \
+            assert select(queries, index, config) == \
                 unpruned_select(queries, index, config)
         assert 0 < shared < 120
 
@@ -251,12 +282,12 @@ class TestSelectionContextBound:
         queries = [ContextQuery(("zebra", "of", "your", "favorite"), c.word)
                    for c in cands.ranked]
         backend = CountingBackend(worked_index)
-        decision = select_correction(
+        decision = select(
             queries, backend, PipelineConfig(backoff_enabled=False))
         assert decision.chosen is None
         assert (backend.calls["ngram_count"], backend.queries) == (1, 8)
         backend = CountingBackend(worked_index)
-        decision = select_correction(queries, backend)
+        decision = select(queries, backend)
         assert (decision.chosen, decision.backoff_order) == ("shows", 4)
         # One call for the 8 candidates at each of the orders 5 to 1.
         assert (backend.calls["ngram_count"], backend.queries) == (1, 40)
@@ -270,41 +301,67 @@ class TestSelectionContextBound:
                     raise BackendError("lookup service down")
                 return super().ngram_count(queries)
 
-        queries = [ContextQuery(("zebra", "of", "your", "favorite"), w)
-                   for w in ["shows", "haws"]]
+        # The selection batch of "shaws" holds its order-4 queries.
         with pytest.raises(BackendError):
-            select_correction(queries, FailingContext(worked_index))
+            correct_transcript(WORKED_ERROR_TEXT,
+                               FailingContext(worked_index))
 
 
 class TestLookupCalls:
     @pytest.mark.parametrize("window", [0, 2, 4])
     def test_call_budget(self, synth_texts, window):
-        # One ngram_count call for non-word detection when some token is
-        # checked, and one per error with candidates, however far it
-        # backs off.
+        # However many errors: one ngram_count call for non-word detection
+        # when some token is checked, one ranking when there is an error,
+        # and one ngram_count call for selection when some error has
+        # candidates, however far each backs off.
         index, texts = synth_texts
         config = PipelineConfig(context_window=window)
-        errors = 0
+        errors = []
         for text in texts:
             backend = CountingBackend(index)
             result = correct_transcript(text, backend, config)
             assert result == correct_transcript(text, index, config)
             checked = any(not _exempt(t) for t in tokenize(text).tokens)
-            assert backend.calls["ngram_count"] == checked + sum(
-                1 for d in result.decisions if d.candidates)
-            assert backend.calls["unigram_exists"] == 0
-            errors += len(result.decisions)
-        assert errors >= 16
+            found = len(result.decisions)
+            with_candidates = any(d.candidates for d in result.decisions)
+            assert backend.calls == Counter({
+                "ngram_count": checked + with_candidates,
+                "rank_by_shared_bigrams": found > 0,
+            }) - Counter()
+            assert sum(backend.calls.values()) == \
+                checked + (found > 0) + with_candidates
+            errors.append(found)
+        assert sum(errors) >= 16
+        assert max(errors) >= 8 and min(errors) == 0
+
+    def test_call_budget_with_realword(self, synth_texts):
+        # Detection: one count for non-word errors, then for the real-word
+        # pass one count, one ranking and one count of the candidates of
+        # the tokens whose context is frequent enough. Correction: one
+        # ranking and one count.
+        index, texts = synth_texts
+        config = PipelineConfig(realword_enabled=True, realword_margin=1.5)
+        suspects = 0
+        for text in texts:
+            backend = CountingBackend(index)
+            result = correct_transcript(text, backend, config)
+            assert result == correct_transcript(text, index, config)
+            assert backend.calls["ngram_count"] <= 4
+            assert backend.calls["rank_by_shared_bigrams"] <= 2
+            assert sum(backend.calls.values()) <= 6
+            suspects += sum(d.error.kind is ErrorKind.REALWORD_SUSPECT
+                            for d in result.decisions)
+        assert suspects > 0
 
     def test_one_request_per_stage_over_http(self, synth_texts, caplog):
         # Counted on the server, from its request log: one count batch
         # per transcript for detection, then one candidate ranking and
-        # one count batch per error.
+        # one count batch for all of its errors together.
         index, texts = synth_texts
         srv = _Server(index)
         remote = RemoteBackend(srv.url)
         caplog.set_level(logging.DEBUG, logger="asrspell.service")
-        total = 0
+        errors = []
         try:
             # The manifest request that reads max_order goes first.
             assert remote.max_order == index.max_order
@@ -315,22 +372,24 @@ class TestLookupCalls:
                 requests = Counter(
                     _method_and_path(r.getMessage()) for r in caplog.records
                     if r.name == "asrspell.service")
-                errors = len(result.decisions)
-                assert errors == sum(1 for d in result.decisions
-                                     if d.candidates)
+                found = len(result.decisions)
+                assert found == sum(1 for d in result.decisions
+                                    if d.candidates)
                 assert requests == Counter({
-                    ("POST", "/v1/ngram"): 1 + errors,
-                    ("GET", "/v1/candidates"): errors})
-                total += errors
+                    ("POST", "/v1/ngram"): 1 + (found > 0),
+                    ("POST", "/v1/candidates"): found > 0}) - Counter()
+                assert requests[("GET", "/v1/candidates")] == 0
+                errors.append(found)
         finally:
             remote.close()
             srv.stop()
-        assert total >= 16
+        assert sum(errors) >= 16
+        assert max(errors) >= 8 and min(errors) == 0
 
 
 def _method_and_path(message):
     """Method and path of a service log line such as
-    '127.0.0.1 "GET /v1/candidates?b=sh&k=8 HTTP/1.1" 200 -'."""
+    '127.0.0.1 "POST /v1/candidates?k=8 HTTP/1.1" 200 -'."""
     method, target, _ = message.split('"')[1].split(" ")
     return method, target.partition("?")[0]
 

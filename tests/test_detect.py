@@ -289,6 +289,27 @@ class TestRealwordContextBound:
                                          margin=math.inf, window=window)
             assert backend.calls["rank_by_shared_bigrams"] == 0
 
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_survivors_ranked_in_one_call(self, synth_case, window):
+        class RecordingBackend(CountingBackend):
+            def rank_by_shared_bigrams(self, words, k):
+                batches.append(len(words))
+                return self._inner.rank_by_shared_bigrams(words, k)
+
+        index, transcripts = synth_case
+        largest = 0
+        for transcript in transcripts:
+            batches = []
+            backend = RecordingBackend(index)
+            got = detect_realword_suspects(transcript, backend, margin=1.5,
+                                           window=window)
+            assert got == unpruned_realword_suspects(
+                transcript, index, 1.5, window)
+            assert len(batches) <= 1
+            assert backend.calls["ngram_count"] <= 2
+            largest = max([largest, *batches])
+        assert largest > 1  # several survivors in one call
+
     def test_rare_context_ranks_nothing(self, realword_index):
         # count("hews") = 1 is below the threshold 10 * max(0, 1): no
         # candidate of "shawls" can reach it after "hews".

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from asrspell import (BackendError, PipelineConfig, RemoteBackend,
-                      build_index, char_bigrams, correct_transcript,
+from asrspell import (BackendError, Candidate, PipelineConfig,
+                      RemoteBackend, build_index, correct_transcript,
                       generate_candidates, serve)
 from asrspell import service
 from asrspell.service import MAX_BATCH_BYTES, POSTINGS_CAP
@@ -173,6 +173,14 @@ class TestRemoteBackend:
         with pytest.raises(ValueError):
             remote.unigrams_containing_bigram("abc")
 
+    def test_rank_batch_matches_local(self, remote, worked_index):
+        words = sorted(worked_index.vocab) + ["shaws", "hwas", "q", "qq"]
+        for k in [1, 8, 50]:
+            assert remote.rank_by_shared_bigrams(words, k) == \
+                worked_index.rank_by_shared_bigrams(words, k)
+        assert remote.rank_by_shared_bigrams([], 8) == []
+
+
     def test_dead_service_raises_backend_error(self):
         remote = RemoteBackend("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(BackendError):
@@ -266,35 +274,78 @@ def fresh(counted):
     backend.close()
 
 
+def candidate_lines(ranked):
+    """The /v1/candidates reply to the words whose rankings are `ranked`."""
+    return "".join(
+        "\t".join(f"{c.word}\t{c.shared}\t{c.unigram_count}" for c in cands)
+        + "\n" for cands in ranked)
+
+
 class TestCandidatesEndpoint:
     def test_matches_local_ranking(self, base_url, worked_index):
-        grams = char_bigrams("shaws")
+        words = ["shaws", "haws", "shows", "hwas", "shaws", "q"]
+        body = "".join(w + "\n" for w in words).encode()
         for k in [1, 3, 8, 50]:
-            for exclude in [None, "shaws", "haws"]:
-                params = [("b", g) for g in grams] + [("k", k)]
-                if exclude:
-                    params.append(("exclude", exclude))
-                status, body = fetch(f"{base_url}/v1/candidates?"
-                                     + urllib.parse.urlencode(params))
-                expected = worked_index.rank_by_shared_bigrams(
-                    grams, k=k, exclude=exclude)
-                assert status == 200
-                assert body == "".join(
-                    f"{c.word}\t{c.shared}\t{c.unigram_count}\n"
-                    for c in expected)
+            expected = worked_index.rank_by_shared_bigrams(words, k)
+            assert fetch(f"{base_url}/v1/candidates?k={k}", body) == \
+                (200, candidate_lines(expected))
+            assert [len(cands) for cands in expected] == \
+                [min(k, n) for n in (11, 10, 8, 1, 11, 0)]
+            # The word itself is never its own candidate.
+            assert all(w not in [c.word for c in cands]
+                       for w, cands in zip(words, expected))
 
     def test_no_shared_bigram_is_empty(self, base_url):
-        assert fetch(f"{base_url}/v1/candidates?b=zq&b=qx&k=8") == (200, "")
+        assert fetch(f"{base_url}/v1/candidates?k=8", b"zqx\nq\nzqx\n") == \
+            (200, "\n\n\n")
+        assert fetch(f"{base_url}/v1/candidates?k=8", b"") == (200, "")
+
+    def test_last_line_end_is_optional(self, base_url, worked_index):
+        expected = candidate_lines(
+            worked_index.rank_by_shared_bigrams(["shaws", "hwas"], 2))
+        assert fetch(f"{base_url}/v1/candidates?k=2", b"shaws\nhwas") == \
+            (200, expected)
 
     @pytest.mark.parametrize("query", [
         "b=aw", "b=aw&k=", "b=aw&k=two", "b=aw&k=1.5", "b=aw&k=0",
         "b=aw&k=-3", "b=a&k=8", "b=abc&k=8", "b=aw&b=x&k=8",
-        "b=aw&k=8&k=9",
+        "b=aw&k=8&k=9", "", "k=0", "k=-1", "k=%38", "k=8&exclude=shaws",
     ])
     def test_malformed_get_400_with_reason(self, base_url, query):
-        status, reason = fetch_error(f"{base_url}/v1/candidates?{query}")
+        """Malformed query strings, the retired GET route's among them,
+        get 400 from the POST route: its query is exactly one k >= 1."""
+        status, reason = fetch_error(f"{base_url}/v1/candidates?{query}",
+                                     b"shaws\n")
         assert status == 400
-        assert reason.strip()
+        assert reason.startswith("the query must be k=<integer >= 1>")
+
+    @pytest.mark.parametrize("body,line", [
+        (b"\n", 1), (b"shaws\n\nshaws\n", 2), (b"shaws\ntwo words\n", 2),
+        (b" shaws\n", 1), (b"shaws\t\n", 1), (b"shaws\r\n", 1),
+    ])
+    def test_malformed_batch_gets_400_with_line(self, base_url, body, line):
+        status, reason = fetch_error(f"{base_url}/v1/candidates?k=8", body)
+        assert status == 400
+        assert reason.startswith(f"line {line}: ")
+
+    def test_body_not_utf8_gets_400(self, base_url):
+        status, reason = fetch_error(f"{base_url}/v1/candidates?k=8",
+                                     b"shaws\xff\n")
+        assert status == 400
+        assert reason.startswith("body is not UTF-8")
+
+    def test_length_limits_shared_with_counts(self, counted):
+        path = "/v1/candidates?k=8"
+        assert _post_raw(counted.port, [], path=path) == \
+            (411, "Content-Length required\n", "close")
+        status, reason, connection = _post_raw(
+            counted.port, [("Content-Length", str(MAX_BATCH_BYTES + 1))],
+            path=path)
+        assert (status, connection) == (413, "close")
+        assert str(MAX_BATCH_BYTES) in reason
+
+    def test_retired_get_route_404(self, base_url):
+        assert fetch_error(f"{base_url}/v1/candidates?b=sh&k=8")[0] == 404
 
 
 class TestConnections:
@@ -309,12 +360,15 @@ class TestConnections:
                 generate_candidates("shaws", worked_index).ranked
         assert len(counted.accepted) == 1
 
-    def test_connection_survives_a_400(self, counted, fresh):
+    def test_connection_survives_a_400(self, counted, fresh, worked_index):
         assert fresh.ngram_count([["shows"]]) == [7]
+        # The client passes a k that is no integer on to the server.
         with pytest.raises(ValueError, match="rejected query"):
-            fresh.rank_by_shared_bigrams(["abc"], k=3)
+            fresh.rank_by_shared_bigrams(["shaws"], k=1.5)
+        assert fresh.rank_by_shared_bigrams(["aw"], k=3) == \
+            worked_index.rank_by_shared_bigrams(["aw"], k=3)
         with pytest.raises(ValueError, match="rejected query"):
-            fresh.rank_by_shared_bigrams(["aw"], k=0)
+            fresh.rank_by_shared_bigrams(["shaws"], k=2.5)
         assert fresh.ngram_count([["favorite", "shows"]]) == [7]
         assert len(counted.accepted) == 1
 
@@ -419,11 +473,36 @@ class TestConnections:
                    for r in caplog.records)
 
 
-def _post_raw(port, headers, body=b""):
+class TestRankInputChecks:
+    def test_string_rejected_by_both(self, counted, fresh, worked_index):
+        for backend in (worked_index, fresh):
+            with pytest.raises(ValueError, match="not the string 'shaws'"):
+                backend.rank_by_shared_bigrams("shaws", 8)
+        assert counted.accepted == []
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected_by_both(self, counted, fresh,
+                                          worked_index, k):
+        for backend in (worked_index, fresh):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                backend.rank_by_shared_bigrams(["shaws"], k)
+        assert counted.accepted == []
+
+    @pytest.mark.parametrize("word", ["", "two words", "line\nend",
+                                      "tab\tin", " shaws", "shaws\r",
+                                      "no\xa0break"])
+    def test_word_the_line_format_cannot_carry(self, counted, fresh, word):
+        # Rejected before anything is sent.
+        with pytest.raises(ValueError, match="whitespace"):
+            fresh.rank_by_shared_bigrams(["shaws", word], 8)
+        assert counted.accepted == []
+
+
+def _post_raw(port, headers, body=b"", path="/v1/ngram"):
     """Status, body and Connection header of one hand-made POST."""
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
     try:
-        conn.putrequest("POST", "/v1/ngram")
+        conn.putrequest("POST", path)
         for name, value in headers:
             conn.putheader(name, value)
         conn.endheaders(body)
@@ -568,7 +647,7 @@ def fake_reply():
 
         def do_POST(self):
             self.rfile.read(int(self.headers["Content-Length"]))
-            self._send(replies[self.path])
+            self._send(replies[urllib.parse.urlsplit(self.path).path])
 
         def _send(self, data):
             self.send_response(200)
@@ -600,6 +679,23 @@ def test_reply_of_wrong_shape_is_a_backend_error(fake_reply, reply):
     replies["/v1/ngram"] = reply
     with pytest.raises(BackendError, match="/v1/ngram"):
         remote.ngram_count([["shows"], ["shaws"]])
+
+
+@pytest.mark.parametrize("reply", [
+    b"", b"haws\t3\t1\n", b"haws\t3\t1\n\n\n", b"haws\t3\t1\n\n\n\n",
+    b"haws\t3\t1\nhaws\t3\t1", b"haws\t3\n\n", b"haws\t3\t1\t\n\n",
+    b"haws\t3\t1\tshows\n\n", b"haws\tthree\t1\n\n",
+    b"haws\t3\t1.0\n\n", b"haws\t-3\t1\n\n", b"\t3\t1\n\n",
+    b"haws 3 1\n\n",
+])
+def test_candidates_of_wrong_shape_are_a_backend_error(fake_reply, reply):
+    remote, replies = fake_reply
+    replies["/v1/candidates"] = b"haws\t3\t1\tshows\t2\t7\n\n"
+    assert remote.rank_by_shared_bigrams(["shaws", "zq"], 8) == [
+        [Candidate("haws", 3, 1), Candidate("shows", 2, 7)], []]
+    replies["/v1/candidates"] = reply
+    with pytest.raises(BackendError, match="/v1/candidates"):
+        remote.rank_by_shared_bigrams(["shaws", "zq"], 8)
 
 
 @pytest.mark.parametrize("body,lines_ok", [
@@ -645,7 +741,7 @@ def test_stalled_body_leaves_no_traceback(worked_index, monkeypatch,
                for r in caplog.records)
 
 
-def _capped_vocabulary(seed):
+def _large_vocabulary(seed):
     """A few thousand words over four letters: the largest postings list
     is longer than the service's cap."""
     rng = random.Random(seed)
@@ -658,13 +754,14 @@ def _capped_vocabulary(seed):
     return vocab, lines
 
 
-class TestAboveThePostingsCap:
-    """Local and HTTP decisions must agree where /v1/postings truncates."""
+class TestLargeVocabularyEquality:
+    """Local and HTTP answers agree over a few thousand words, where
+    /v1/postings truncates and a batch of words outgrows one request."""
 
     @pytest.fixture(scope="class")
-    def capped(self):
-        vocab, lines = _capped_vocabulary(seed=11)
-        index = build_index(lines, corpus_id="capped")
+    def large(self):
+        vocab, lines = _large_vocabulary(seed=11)
+        index = build_index(lines, corpus_id="large")
         assert max(len(index.unigrams_containing_bigram(a + b))
                    for a in "abcd" for b in "abcd") > POSTINGS_CAP
         srv = _Server(index)
@@ -673,8 +770,8 @@ class TestAboveThePostingsCap:
         remote.close()
         srv.stop()
 
-    def test_candidates_match_local(self, capped):
-        index, _, remote = capped
+    def test_candidates_match_local(self, large):
+        index, _, remote = large
         rng = random.Random(12)
         errors = set()
         while len(errors) < 250:
@@ -682,13 +779,44 @@ class TestAboveThePostingsCap:
                            for _ in range(rng.randint(3, 9)))
             if not index.unigram_exists(word):
                 errors.add(word)
-        for error in sorted(errors):
-            assert generate_candidates(error, remote, k=8).ranked == \
-                generate_candidates(error, index, k=8).ranked, error
+        # Words of the vocabulary, which are left out of their own
+        # rankings, and words too short to have a bigram.
+        words = sorted(errors) + rng.sample(sorted(index.vocab), 30) + \
+            ["a", "b", "e", "ab"]
+        rng.shuffle(words)
+        got = remote.rank_by_shared_bigrams(words, 8)
+        assert got == index.rank_by_shared_bigrams(words, 8)
+        for word, ranked in zip(words, got):
+            assert ranked == generate_candidates(word, index, k=8).ranked
+            assert (ranked == []) == (len(word) < 2), word
+            assert word not in [c.word for c in ranked]
+
+    def test_batch_above_the_limit_is_split_in_order(self, large,
+                                                     monkeypatch):
+        index, _, remote = large
+        rng = random.Random(14)
+        words = ["".join(rng.choice("abcde")
+                         for _ in range(rng.randint(1, 120)))
+                 for _ in range(1200)]
+        assert sum(len(w) + 1 for w in words) > MAX_BATCH_BYTES
+        bodies = []
+        request = remote._request
+
+        def recording(method, target, body):
+            if method == "POST":
+                bodies.append(body)
+            return request(method, target, body)
+
+        monkeypatch.setattr(remote, "_request", recording)
+        assert remote.rank_by_shared_bigrams(words, 5) == \
+            index.rank_by_shared_bigrams(words, 5)
+        assert len(bodies) == 2
+        assert all(len(body) <= MAX_BATCH_BYTES for body in bodies)
+        assert b"".join(bodies).decode().splitlines() == words
 
     @pytest.mark.parametrize("realword", [False, True])
-    def test_transcripts_byte_identical(self, capped, realword):
-        index, lines, remote = capped
+    def test_transcripts_byte_identical(self, large, realword):
+        index, lines, remote = large
         rng = random.Random(13)
         config = PipelineConfig(realword_enabled=realword)
         for line in rng.sample(lines, 3):
@@ -774,3 +902,102 @@ def test_query_checks_hold_under_python_O():
         "RemoteBackend line end: tokens must be non-empty and hold no "
         "space or line end: ['shows\\n']",
     ]
+
+
+def test_rank_checks_hold_under_python_O():
+    """Both rank_by_shared_bigrams implementations test their input
+    inline and reject the same input when assert statements are
+    stripped; the client also rejects words the line format cannot
+    carry."""
+    code = """if True:
+        import threading
+        from asrspell import RemoteBackend, build_index, serve
+        index = build_index(["your favorite shows"], max_order=3)
+        srv = serve(index, port=0)
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
+        remote = RemoteBackend(f"http://127.0.0.1:{srv.server_address[1]}")
+        calls = {"string": ("shows", 8), "k 0": (["shows"], 0),
+                 "empty": (["shows", ""], 8),
+                 "space": (["your favorite"], 8)}
+        for backend in (index, remote):
+            for name, (words, k) in calls.items():
+                try:
+                    backend.rank_by_shared_bigrams(words, k)
+                except ValueError as exc:
+                    print(f"{type(backend).__name__} {name}: {exc}")
+        srv.shutdown()
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "NgramIndex string: rank_by_shared_bigrams takes a sequence of "
+        "words, not the string 'shows'",
+        "NgramIndex k 0: k must be >= 1, got 0",
+        "RemoteBackend string: rank_by_shared_bigrams takes a sequence of "
+        "words, not the string 'shows'",
+        "RemoteBackend k 0: k must be >= 1, got 0",
+        "RemoteBackend empty: words must be non-empty and hold no "
+        "whitespace: ''",
+        "RemoteBackend space: words must be non-empty and hold no "
+        "whitespace: 'your favorite'",
+    ]
+
+
+def test_connections_over_the_worker_cap_get_503(worked_index, caplog):
+    """Each kept-alive connection holds a worker; one more than
+    MAX_WORKERS is answered 503 and closed, and a worker freed by a
+    closed connection serves the next."""
+    caplog.set_level(logging.WARNING, logger="asrspell.service")
+    srv = _Server(worked_index)
+    manifest = worked_index.manifest.to_tsv()
+
+    def get(conn):
+        conn.request("GET", "/v1/manifest")
+        with conn.getresponse() as resp:
+            return (resp.status, resp.read().decode(),
+                    resp.getheader("Connection"))
+
+    held = []
+    try:
+        for _ in range(service.MAX_WORKERS):
+            held.append(http.client.HTTPConnection(
+                "127.0.0.1", srv.port, timeout=5))
+            assert get(held[-1]) == (200, manifest, None)
+        extra = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=5)
+        try:
+            status, reason, connection = get(extra)
+        finally:
+            extra.close()
+        assert (status, connection) == (503, "close")
+        assert reason == f"server busy: all {service.MAX_WORKERS} " \
+            f"workers in use\n"
+        remote = RemoteBackend(srv.url)
+        with pytest.raises(BackendError, match="HTTP 503"):
+            remote.manifest()
+        remote.close()
+        assert [r.getMessage() for r in caplog.records
+                if "refused" in r.getMessage()] == \
+            [f"127.0.0.1 refused: all {service.MAX_WORKERS} workers "
+             f"busy"] * 2
+        # The held connections are still served.
+        assert all(get(conn) == (200, manifest, None) for conn in held)
+        held.pop().close()
+        deadline = time.monotonic() + 5
+        while True:  # until the closed connection's worker has ended
+            conn = http.client.HTTPConnection("127.0.0.1", srv.port,
+                                              timeout=5)
+            try:
+                status = get(conn)[0]
+            finally:
+                conn.close()
+            if status == 200:
+                break
+            assert time.monotonic() < deadline, "no worker was freed"
+            time.sleep(0.01)
+    finally:
+        for conn in held:
+            conn.close()
+        srv.stop()
