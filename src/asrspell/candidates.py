@@ -56,14 +56,3 @@ def generate_candidates(error: str, backend, k: int = 8) -> CandidateSet:
     ranking for one word.
     """
     return CandidateSet(error, backend.rank_by_shared_bigrams([error], k)[0])
-
-
-def words_sharing_bigrams(token: str, backend, min_shared: int) -> list[str]:
-    """All vocabulary words (sorted) sharing >= min_shared distinct
-    character bigrams with `token`, excluding the token itself."""
-    shared: dict[str, int] = {}
-    for gram in char_bigrams(token):
-        for word in backend.unigrams_containing_bigram(gram):
-            shared[word] = shared.get(word, 0) + 1
-    shared.pop(token, None)
-    return sorted(w for w, n in shared.items() if n >= min_shared)

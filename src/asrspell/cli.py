@@ -18,7 +18,8 @@ from asrspell.corrupt import (CorruptionSpec, inject_errors,
                               load_ground_truth, save_ground_truth)
 from asrspell.evaluate import evaluate
 from asrspell.service import RemoteBackend, serve
-from asrspell.store import IndexFormatError, build_index, load_index, save_index
+from asrspell.store import (MAX_ORDER, IndexFormatError, build_index,
+                            load_index, save_index)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="count n-grams of text corpora into an index dir")
     p.add_argument("--corpus", nargs="+", required=True, metavar="PATH")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--max-order", type=int, default=5)
+    p.add_argument("--max-order", type=int, default=MAX_ORDER)
 
     p = sub.add_parser("correct",
                        help="detect and correct spelling errors in a text")
@@ -117,9 +118,9 @@ def cmd_correct(args) -> int:
 def _correct(args, backend) -> int:
     config = PipelineConfig(
         top_k=args.top_k,
-        # ngram queries above the index's max order are errors, so the
-        # window self-limits to what the backend can answer.
-        context_window=min(args.context, backend.max_order - 1),
+        # correct_transcript limits the window to what the backend can
+        # answer; a window above any index's is limited here.
+        context_window=min(args.context, MAX_ORDER - 1),
         realword_enabled=args.realword == "on",
         realword_margin=args.margin,
         backoff_enabled=not args.no_backoff,

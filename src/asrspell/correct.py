@@ -13,11 +13,12 @@ from asrspell.candidates import CandidateSet, generate_candidates  # noqa: F401
 from asrspell.detect import (DetectedError, ErrorKind, Transcript,
                              detect_nonword_errors, detect_realword_suspects,
                              splice, tokenize)
+from asrspell.store import MAX_ORDER
 
 
 @dataclass(frozen=True)
 class ContextQuery:
-    prefix: tuple[str, ...]  # up to 4 tokens directly preceding the error
+    prefix: tuple[str, ...]  # tokens directly preceding the error
     candidate: str
 
     @property
@@ -45,9 +46,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if not 0 <= self.context_window <= 4:
-            raise ValueError(
-                f"context_window must be in 0..4, got {self.context_window}")
+        if not 0 <= self.context_window < MAX_ORDER:
+            raise ValueError(f"context_window must be in 0..{MAX_ORDER - 1}, "
+                             f"got {self.context_window}")
 
 
 @dataclass
@@ -149,19 +150,22 @@ def correct_transcript(text: str, backend,
     outcome does not depend on correction order; run the function a second
     time explicitly if cascaded corrections are wanted. Errors with no
     usable candidates are reported with chosen=None and left verbatim.
+    The context window is limited to ``backend.max_order - 1`` tokens, so
+    a lower-order index gives what a run with that window gives.
 
     The candidates of every error come from one ``rank_by_shared_bigrams``
     call, and the selection counts of every error from one
     ``ngram_count`` call, each error reading its own slice of them.
     """
     config = config or PipelineConfig()
+    window = min(config.context_window, backend.max_order - 1)
     transcript = tokenize(text)
     errors = detect_nonword_errors(transcript, backend)
     if config.realword_enabled:
         errors = sorted(
             errors + detect_realword_suspects(
                 transcript, backend, margin=config.realword_margin,
-                window=config.context_window, k=config.top_k),
+                window=window, k=config.top_k),
             key=lambda e: e.position)
     if not errors:
         return CorrectionResult(corrected_text=text)
@@ -175,12 +179,11 @@ def correct_transcript(text: str, backend,
     for error, candidates in zip(errors, ranked, strict=True):
         cands = CandidateSet(error.token, candidates)
         queries = build_context_queries(
-            transcript, error.position, cands, window=config.context_window)
+            transcript, error.position, cands, window=window)
         if error.kind is ErrorKind.REALWORD_SUSPECT:
             # The original word competes, ranked first so that ties keep
             # the text unchanged.
-            prefix = _context_prefix(
-                transcript, error.position, config.context_window)
+            prefix = _context_prefix(transcript, error.position, window)
             queries.insert(0, ContextQuery(prefix, error.token))
         start = len(batch)
         if queries:

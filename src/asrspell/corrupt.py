@@ -3,9 +3,10 @@ corrector without a speech front end.
 
 Non-word corruption applies one random character edit (substitution,
 deletion, or insertion) re-rolled until the result is out of vocabulary.
-Real-word corruption swaps the token for a different vocabulary word that
-shares enough character bigrams to be recoverable by the candidate
-generator. Everything is deterministic under a fixed seed.
+Real-word corruption swaps the token for a vocabulary word drawn
+uniformly from those sharing at least two distinct character bigrams
+with it, as ``NgramIndex.words_sharing_bigrams`` counts them with the
+ranking kernel's count. Everything is deterministic under a fixed seed.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from enum import Enum
 from pathlib import Path
 from random import Random
 
-from asrspell.candidates import words_sharing_bigrams
 from asrspell.detect import _exempt, splice, tokenize
 from asrspell.store import normalize_token
 
@@ -69,9 +69,10 @@ class InjectionResult:
     records: list[CorruptionRecord]
 
 
-def inject_errors(text: str, backend, spec: CorruptionSpec) -> InjectionResult:
+def inject_errors(text: str, index, spec: CorruptionSpec) -> InjectionResult:
     """Corrupt tokens of `text` at the spec's rates, returning the new text
-    and one ground-truth record per corruption actually applied.
+    and one ground-truth record per corruption actually applied. `index`
+    is an ``NgramIndex``.
 
     Tokens are selected independently with one RNG draw each, so the same
     seed always corrupts the same positions. Unsatisfiable corruptions
@@ -93,9 +94,9 @@ def inject_errors(text: str, backend, spec: CorruptionSpec) -> InjectionResult:
             log.debug("skipping %r at %d: contains digits", token, i)
             continue
         if kind is CorruptionKind.NONWORD:
-            corrupted = _nonword_edit(token, backend, rng)
+            corrupted = _nonword_edit(token, index, rng)
         else:
-            corrupted = _realword_swap(token, backend, rng)
+            corrupted = _realword_swap(token, index, rng)
         if corrupted is None:
             log.debug("skipping %r at %d: no %s corruption found",
                       token, i, kind.value)
@@ -106,7 +107,7 @@ def inject_errors(text: str, backend, spec: CorruptionSpec) -> InjectionResult:
                            records=records)
 
 
-def _nonword_edit(token: str, backend, rng: Random) -> str | None:
+def _nonword_edit(token: str, index, rng: Random) -> str | None:
     """One random character edit, re-rolled until the result is OOV and
     survives tokenization unchanged."""
     if len(token) < _MIN_NONWORD_LEN:
@@ -124,15 +125,15 @@ def _nonword_edit(token: str, backend, rng: Random) -> str | None:
             edited = token[:pos] + rng.choice(_LETTERS) + token[pos:]
         if edited == token or normalize_token(edited) != edited:
             continue
-        if not backend.unigram_exists(edited):
+        if not index.unigram_exists(edited):
             return edited
     return None
 
 
-def _realword_swap(token: str, backend, rng: Random) -> str | None:
-    if len(token) < _MIN_REALWORD_LEN or not backend.unigram_exists(token):
+def _realword_swap(token: str, index, rng: Random) -> str | None:
+    if len(token) < _MIN_REALWORD_LEN or not index.unigram_exists(token):
         return None
-    partners = words_sharing_bigrams(token, backend, _MIN_SHARED_BIGRAMS)
+    partners = index.words_sharing_bigrams(token, _MIN_SHARED_BIGRAMS)
     if not partners:
         return None
     return partners[rng.randrange(len(partners))]

@@ -45,16 +45,15 @@ import threading
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from asrspell.backend import BackendError
 from asrspell.candidates import Candidate
-from asrspell.store import NgramIndex, check_query
+from asrspell.store import MAX_ORDER, NgramIndex, check_query
 
 log = logging.getLogger(__name__)
 
 POSTINGS_CAP = 1000
-PROTOCOL_MAX_ORDER = 5
 IDLE_TIMEOUT_S = 30
 MAX_BATCH_BYTES = 65536
 # Worker threads, one per open connection, that the server runs at once.
@@ -303,11 +302,10 @@ class RemoteBackend:
     def max_order(self) -> int:
         if self._max_order is None:
             value = self.manifest().get("max_order", "")
-            if not (_digits(value)
-                    and 1 <= int(value) <= PROTOCOL_MAX_ORDER):
+            if not (_digits(value) and 1 <= int(value) <= MAX_ORDER):
                 raise BackendError(
                     f"{self._base}/v1/manifest: max_order {value!r} is not "
-                    f"an integer in 1..{PROTOCOL_MAX_ORDER}")
+                    f"an integer in 1..{MAX_ORDER}")
             self._max_order = int(value)
         return self._max_order
 
@@ -378,20 +376,26 @@ class RemoteBackend:
 
     def _post_lines(self, target: str, lines: list[str]) -> list[str]:
         """The reply lines to `lines`, one per line and in order, from
-        POSTs to `target` of at most MAX_BATCH_BYTES each."""
-        if not lines:
-            return []
-        body = ("\n".join(lines) + "\n").encode("utf-8")
-        if len(body) <= MAX_BATCH_BYTES:
-            return self._post(target, body, len(lines))
-        encoded = [(line + "\n").encode("utf-8") for line in lines]
-        for line in encoded:
-            if len(line) > MAX_BATCH_BYTES:
-                raise ValueError(f"line of {len(line)} bytes exceeds the "
+        POSTs to `target` of at most MAX_BATCH_BYTES each.
+
+        The body is encoded once and cut after the last line end that
+        fits. Every cut is made before the first POST, so a line longer
+        than MAX_BATCH_BYTES is a ValueError with nothing sent.
+        """
+        body = "".join(line + "\n" for line in lines).encode("utf-8")
+        cuts = [0]
+        while cuts[-1] < len(body):
+            start = cuts[-1]
+            stop = body.rfind(b"\n", start, start + MAX_BATCH_BYTES) + 1
+            if not stop:
+                size = body.index(b"\n", start) + 1 - start
+                raise ValueError(f"line of {size} bytes exceeds the "
                                  f"{MAX_BATCH_BYTES}-byte batch limit")
+            cuts.append(stop)
         replies: list[str] = []
-        for batch in _batches(encoded, MAX_BATCH_BYTES):
-            replies += self._post(target, b"".join(batch), len(batch))
+        for start, stop in zip(cuts, cuts[1:]):
+            piece = body[start:stop]
+            replies += self._post(target, piece, piece.count(b"\n"))
         return replies
 
     def _post(self, target: str, body: bytes, expected: int) -> list[str]:
@@ -455,17 +459,3 @@ class RemoteBackend:
             except BaseException:
                 conn.close()
                 raise
-
-
-def _batches(lines: list[bytes], limit: int) -> Iterator[list[bytes]]:
-    """`lines` in order, cut into runs of at most `limit` bytes each."""
-    batch: list[bytes] = []
-    size = 0
-    for line in lines:
-        if batch and size + len(line) > limit:
-            yield batch
-            batch, size = [], 0
-        batch.append(line)
-        size += len(line)
-    if batch:
-        yield batch

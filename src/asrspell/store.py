@@ -51,6 +51,8 @@ from asrspell.candidates import Candidate, char_bigrams
 log = logging.getLogger(__name__)
 
 NORMALIZATION_VERSION = "1"
+# The highest n-gram order an index holds or a query asks for.
+MAX_ORDER = 5
 
 MANIFEST_FILE = "manifest.tsv"
 _MANIFEST_KEYS = ("corpus_id", "max_order", "token_count",
@@ -113,8 +115,9 @@ class NgramIndex:
 
     def __init__(self, tables: list[dict], corpus_id: str,
                  token_count: int):
-        if not 1 <= len(tables) <= 5:
-            raise ValueError(f"max_order must be in 1..5, got {len(tables)}")
+        if not 1 <= len(tables) <= MAX_ORDER:
+            raise ValueError(f"max_order must be in 1..{MAX_ORDER}, "
+                             f"got {len(tables)}")
         self._tables = tables
         self._corpus_id = corpus_id
         self._token_count = token_count
@@ -228,9 +231,33 @@ class NgramIndex:
             raise ValueError(f"k must be >= 1, got {k}")
         return [self._rank(word, k) for word in words]
 
-    def _rank(self, word: str, k: int) -> list[Candidate]:
+    def words_sharing_bigrams(self, word: str, min_shared: int
+                              ) -> list[str]:
+        """All vocabulary words, sorted, sharing at least `min_shared`
+        distinct character bigrams with `word`, the word itself left out.
+
+        Counts with the ranking's own :func:`kernels.shared_counts`.
+        ``min_shared < 1`` is a ValueError.
+        """
+        if min_shared < 1:
+            raise ValueError(f"min_shared must be >= 1, got {min_shared}")
+        arrays = self._postings_of(word)
+        if not arrays:
+            return []
+        counts = kernels.shared_counts(arrays, len(self._words))
+        if word in self._word_id:
+            counts[self._word_id[word]] = 0
+        # Ids are in sorted-word order.
+        return [self._words[i] for i in np.flatnonzero(counts >= min_shared)]
+
+    def _postings_of(self, word: str) -> list[np.ndarray]:
+        """The postings of each distinct character bigram of `word` that
+        some vocabulary word has."""
         postings = self._postings
-        arrays = [postings[g] for g in char_bigrams(word) if g in postings]
+        return [postings[g] for g in char_bigrams(word) if g in postings]
+
+    def _rank(self, word: str, k: int) -> list[Candidate]:
+        arrays = self._postings_of(word)
         if not arrays:
             return []
         pairs = kernels.rank_shared_candidates(
@@ -298,7 +325,7 @@ def tokenize_line(line: str) -> list[str]:
     return out
 
 
-def build_index(corpus: str | Iterable[str], max_order: int = 5,
+def build_index(corpus: str | Iterable[str], max_order: int = MAX_ORDER,
                 corpus_id: str = "") -> NgramIndex:
     """Count all 1..max_order-grams of a line-per-sentence text corpus.
 
@@ -306,8 +333,9 @@ def build_index(corpus: str | Iterable[str], max_order: int = 5,
     works). N-grams never span lines. Building twice from the same bytes
     yields identical indexes.
     """
-    if not 1 <= max_order <= 5:
-        raise ValueError(f"max_order must be in 1..5, got {max_order}")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ValueError(f"max_order must be in 1..{MAX_ORDER}, "
+                         f"got {max_order}")
     if isinstance(corpus, str):
         corpus = corpus.splitlines()
     lines = [tokens for tokens in map(tokenize_line, corpus) if tokens]
@@ -361,7 +389,7 @@ def save_index(index: NgramIndex, path: str | os.PathLike) -> None:
                 payload.nbytes, zlib.crc32(payload)))
             f.write(payload)
     # A larger index saved here before left orders this one does not have.
-    for k in range(index.max_order + 1, 6):
+    for k in range(index.max_order + 1, MAX_ORDER + 1):
         (root / f"{k}gram.tsv").unlink(missing_ok=True)
         (root / f"{k}gram.bin").unlink(missing_ok=True)
 
@@ -529,9 +557,9 @@ def _read_manifest(path: Path) -> IndexManifest:
         distinct = int(values["distinct_unigrams"])
     except ValueError as exc:
         raise IndexFormatError(f"{path}: non-integer manifest field: {exc}")
-    if not 1 <= max_order <= 5:
+    if not 1 <= max_order <= MAX_ORDER:
         raise IndexFormatError(
-            f"{path}: max_order {max_order} outside 1..5")
+            f"{path}: max_order {max_order} outside 1..{MAX_ORDER}")
     return IndexManifest(
         corpus_id=values["corpus_id"], max_order=max_order,
         token_count=token_count, distinct_unigrams=distinct)

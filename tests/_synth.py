@@ -127,3 +127,17 @@ def passage_of(corpus_text: str, n_tokens: int, start_line: int) -> str:
         raise ValueError(f"corpus too small for a {n_tokens}-token passage "
                          f"starting at line {start_line}")
     return " ".join(tokens[:n_tokens])
+
+
+def large_vocabulary(seed: int) -> tuple[list[str], list[str]]:
+    """A few thousand words over four letters, and corpus lines holding
+    each once to three times: the largest postings list is longer than
+    the service's cap of 1000 words."""
+    rng = Random(seed)
+    vocab = sorted({"".join(rng.choice("abcd")
+                            for _ in range(rng.randint(3, 9)))
+                    for _ in range(5000)})
+    tokens = [w for w in vocab for _ in range(rng.randint(1, 3))]
+    rng.shuffle(tokens)
+    lines = [" ".join(tokens[i:i + 12]) for i in range(0, len(tokens), 12)]
+    return vocab, lines

@@ -4,7 +4,7 @@ import pytest
 
 from asrspell import (Candidate, build_index, char_bigrams,
                       generate_candidates, shared_bigram_count)
-from asrspell.candidates import words_sharing_bigrams
+from tests._synth import large_vocabulary
 
 FIXTURE_VOCAB = ("shows shawls shays shank sham haws hawk "
                  "saws sawn maws hews")
@@ -123,8 +123,50 @@ class TestGenerateCandidates:
 
 
 def test_words_sharing_bigrams(worked_index):
-    partners = words_sharing_bigrams("shaws", worked_index, 2)
+    partners = worked_index.words_sharing_bigrams("shaws", 2)
     assert partners == sorted(partners)
     assert "haws" in partners and "shows" in partners
     assert "hews" not in partners  # only shares "ws"
     assert all(shared_bigram_count("shaws", w) >= 2 for w in partners)
+
+
+class TestWordsSharingBigramsOracle:
+    """``NgramIndex.words_sharing_bigrams`` equals a pairwise
+    ``shared_bigram_count`` scan of the whole vocabulary, over postings
+    lists of more than 1000 words."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        vocab, lines = large_vocabulary(seed=11)
+        index = build_index(lines, corpus_id="large")
+        assert sorted(index.vocab) == vocab
+        assert max(len(index.unigrams_containing_bigram(a + b))
+                   for a in "abcd" for b in "abcd") > 1000
+        return index, vocab
+
+    @staticmethod
+    def scan(word, vocab, min_shared):
+        return [w for w in vocab if w != word
+                and shared_bigram_count(word, w) >= min_shared]
+
+    @pytest.mark.parametrize("min_shared", [1, 2, 3])
+    def test_matches_pairwise_scan(self, large, min_shared):
+        index, vocab = large
+        rng = random.Random(15 + min_shared)
+        outside = ["".join(rng.choice("abcde")
+                           for _ in range(rng.randint(2, 10)))
+                   for _ in range(12)]
+        words = rng.sample(vocab, 12) + outside + ["ab", "aaaa", "ee"]
+        assert any(not index.unigram_exists(w) for w in outside)
+        for word in words:
+            assert index.words_sharing_bigrams(word, min_shared) == \
+                self.scan(word, vocab, min_shared), word
+
+    @pytest.mark.parametrize("word", ["", "a", "e"])
+    def test_words_without_bigrams_share_nothing(self, large, word):
+        index, _ = large
+        assert index.words_sharing_bigrams(word, 1) == []
+
+    def test_min_shared_below_one_rejected(self, worked_index):
+        with pytest.raises(ValueError, match="min_shared"):
+            worked_index.words_sharing_bigrams("shaws", 0)

@@ -512,3 +512,33 @@ class TestRealwordCorrection:
         config = PipelineConfig(realword_enabled=True, realword_margin=1)
         result = correct_transcript(WORKED_SENTENCE, index, config)
         assert result.corrected_text == WORKED_SENTENCE
+
+
+@pytest.mark.parametrize("realword", [False, True])
+@pytest.mark.parametrize("over_http", [False, True])
+def test_window_limited_to_the_index_order(realword, over_http):
+    # The default window of 4 asks a 3-gram index for 5-grams; the
+    # pipeline limits it to 2 instead of raising ValueError.
+    trigrams = build_index(REALWORD_LINES, max_order=3)
+    text = ("Watch episodes of your favorite shaws and more. "
+            "Watch episodes of your favorite shawls and more.")
+    config = PipelineConfig(realword_enabled=realword, realword_margin=10)
+    if over_http:
+        srv = _Server(trigrams)
+        remote = RemoteBackend(srv.url)
+        try:
+            result = correct_transcript(text, remote, config)
+        finally:
+            remote.close()
+            srv.stop()
+    else:
+        result = correct_transcript(text, trigrams, config)
+    assert result == correct_transcript(
+        text, trigrams, PipelineConfig(context_window=2,
+                                       realword_enabled=realword,
+                                       realword_margin=10))
+    assert result.corrected_text == (
+        "Watch episodes of your favorite shows and more. "
+        "Watch episodes of your favorite "
+        + ("shows" if realword else "shawls") + " and more.")
+    assert {d.backoff_order for d in result.decisions} == {3}

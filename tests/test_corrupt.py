@@ -6,6 +6,7 @@ from asrspell import (CorruptionKind, CorruptionSpec, build_index,
                       inject_errors, load_ground_truth, save_ground_truth,
                       shared_bigram_count, tokenize)
 from asrspell.corrupt import _MIN_SHARED_BIGRAMS
+from tests._synth import large_vocabulary
 
 CORPUS = """
 the quick brown foxes jumped over the lazy hounds near the river
@@ -79,6 +80,35 @@ def test_realword_records_are_vocab_and_share_bigrams(index):
         assert index.unigram_exists(r.corrupted)
         assert shared_bigram_count(r.original, r.corrupted) >= \
             _MIN_SHARED_BIGRAMS
+
+
+def test_realword_records_pinned(index):
+    # Partners are drawn from the sorted list of words sharing enough
+    # bigrams; these records pin that list's content and order.
+    result = inject_errors(CORPUS, index,
+                           CorruptionSpec(realword_rate=0.5, seed=21))
+    assert [(r.position, r.original, r.corrupted) for r in result.records] \
+        == [(11, "river", "over"), (12, "every", "over"),
+            (19, "quiet", "quick"), (24, "lanterns", "teacher"),
+            (28, "narrow", "brown"), (35, "patient", "ancient"),
+            (36, "teacher", "lanterns"), (38, "every", "river"),
+            (42, "ancient", "patient")]
+
+
+def test_realword_records_pinned_over_a_large_vocabulary():
+    # Each original here has 878 to 2569 partners.
+    _, lines = large_vocabulary(seed=11)
+    large = build_index(lines, corpus_id="large")
+    text = " ".join(lines[:2])
+    result = inject_errors(text, large,
+                           CorruptionSpec(realword_rate=0.5, seed=3))
+    assert all(r.kind is CorruptionKind.REALWORD for r in result.records)
+    assert [(r.position, r.original, r.corrupted) for r in result.records] \
+        == [(0, "acaaabcda", "dbdaca"), (1, "dbadabd", "dbcad"),
+            (3, "cadbbbb", "aacbcaadb"), (5, "adbdba", "dbacabacc"),
+            (6, "abcccabaa", "dbcdbadab"), (11, "bdbdbb", "adbbddb"),
+            (16, "abbcbccc", "dbdcbc"), (18, "ddbcbabb", "aaddbba"),
+            (20, "dacda", "cdcacadc")]
 
 
 def test_token_count_preserved(index):

@@ -21,6 +21,7 @@ from asrspell import (BackendError, Candidate, PipelineConfig,
                       generate_candidates, serve)
 from asrspell import service
 from asrspell.service import MAX_BATCH_BYTES, POSTINGS_CAP
+from tests._synth import large_vocabulary
 from tests.conftest import WORKED_ERROR_TEXT
 
 
@@ -513,6 +514,27 @@ def _post_raw(port, headers, body=b"", path="/v1/ngram"):
         conn.close()
 
 
+def record_requests(remote, monkeypatch):
+    """The (method, body) of every request `remote` sends from now on."""
+    sent = []
+    request = remote._request
+
+    def recording(method, target, body):
+        sent.append((method, body))
+        return request(method, target, body)
+
+    monkeypatch.setattr(remote, "_request", recording)
+    return sent
+
+
+def assert_cut_full(bodies):
+    """Every body but the last is full: the next body's first line would
+    not have fitted in it."""
+    assert all(len(body) <= MAX_BATCH_BYTES for body in bodies)
+    for body, following in zip(bodies, bodies[1:]):
+        assert len(body) + following.index(b"\n") + 1 > MAX_BATCH_BYTES
+
+
 class TestBatchEndpoint:
     def test_matches_local_for_mixed_orders(self, base_url, worked_index):
         rng = random.Random(31)
@@ -611,25 +633,46 @@ class TestBatchEndpoint:
                    for _ in range(8000)]
         size = sum(len(" ".join(q)) + 1 for q in queries)
         assert size > 2 * MAX_BATCH_BYTES
-        bodies = []
-        request = fresh._request
-
-        def recording(method, target, body):
-            if method == "POST":
-                bodies.append(body)
-            return request(method, target, body)
-
-        monkeypatch.setattr(fresh, "_request", recording)
+        assert fresh.max_order == 5  # the manifest request goes first
+        sent = record_requests(fresh, monkeypatch)
         assert fresh.ngram_count(queries) == worked_index.ngram_count(queries)
+        bodies = [body for _, body in sent]
         assert len(bodies) == 3
-        assert all(len(body) <= MAX_BATCH_BYTES for body in bodies)
+        assert_cut_full(bodies)
         assert b"".join(bodies).decode().splitlines() == \
             [" ".join(q) for q in queries]
         assert len(counted.accepted) == 1
 
+    def test_body_of_exactly_the_limit_is_one_post(self, fresh,
+                                                   monkeypatch):
+        # 10922 lines "shows\n" and one "xxx\n" make 65536 bytes.
+        queries = [["shows"]] * (MAX_BATCH_BYTES // 6) + \
+            [["x" * (MAX_BATCH_BYTES % 6 - 1)]]
+        assert fresh.max_order == 5
+        sent = record_requests(fresh, monkeypatch)
+        assert fresh.ngram_count(queries) == [7] * (len(queries) - 1) + [0]
+        assert [len(body) for _, body in sent] == [MAX_BATCH_BYTES]
+        sent.clear()
+        assert fresh.ngram_count(queries + [["shows"]]) == \
+            [7] * (len(queries) - 1) + [0, 7]
+        assert [len(body) for _, body in sent] == [MAX_BATCH_BYTES, 6]
+
     def test_query_above_the_limit_rejected(self, remote):
         with pytest.raises(ValueError, match="batch limit"):
             remote.ngram_count([["a" * MAX_BATCH_BYTES]])
+
+    def test_query_above_the_limit_sends_nothing(self, fresh, monkeypatch):
+        # The valid lines before it would fill more than one POST: every
+        # cut is made before the first one is sent.
+        queries = [["favorite", "shows"]] * 5000 + \
+            [["a" * MAX_BATCH_BYTES], ["shows"]]
+        assert 15 * 5000 > MAX_BATCH_BYTES
+        assert fresh.max_order == 5
+        sent = record_requests(fresh, monkeypatch)
+        with pytest.raises(ValueError, match=f"line of {MAX_BATCH_BYTES + 1}"
+                                             f" bytes exceeds"):
+            fresh.ngram_count(queries)
+        assert sent == []
 
 
 @pytest.fixture
@@ -741,26 +784,13 @@ def test_stalled_body_leaves_no_traceback(worked_index, monkeypatch,
                for r in caplog.records)
 
 
-def _large_vocabulary(seed):
-    """A few thousand words over four letters: the largest postings list
-    is longer than the service's cap."""
-    rng = random.Random(seed)
-    vocab = sorted({"".join(rng.choice("abcd")
-                            for _ in range(rng.randint(3, 9)))
-                    for _ in range(5000)})
-    tokens = [w for w in vocab for _ in range(rng.randint(1, 3))]
-    rng.shuffle(tokens)
-    lines = [" ".join(tokens[i:i + 12]) for i in range(0, len(tokens), 12)]
-    return vocab, lines
-
-
 class TestLargeVocabularyEquality:
     """Local and HTTP answers agree over a few thousand words, where
     /v1/postings truncates and a batch of words outgrows one request."""
 
     @pytest.fixture(scope="class")
     def large(self):
-        vocab, lines = _large_vocabulary(seed=11)
+        _, lines = large_vocabulary(seed=11)
         index = build_index(lines, corpus_id="large")
         assert max(len(index.unigrams_containing_bigram(a + b))
                    for a in "abcd" for b in "abcd") > POSTINGS_CAP
@@ -799,19 +829,12 @@ class TestLargeVocabularyEquality:
                          for _ in range(rng.randint(1, 120)))
                  for _ in range(1200)]
         assert sum(len(w) + 1 for w in words) > MAX_BATCH_BYTES
-        bodies = []
-        request = remote._request
-
-        def recording(method, target, body):
-            if method == "POST":
-                bodies.append(body)
-            return request(method, target, body)
-
-        monkeypatch.setattr(remote, "_request", recording)
+        sent = record_requests(remote, monkeypatch)
         assert remote.rank_by_shared_bigrams(words, 5) == \
             index.rank_by_shared_bigrams(words, 5)
+        bodies = [body for _, body in sent]
         assert len(bodies) == 2
-        assert all(len(body) <= MAX_BATCH_BYTES for body in bodies)
+        assert_cut_full(bodies)
         assert b"".join(bodies).decode().splitlines() == words
 
     @pytest.mark.parametrize("realword", [False, True])
