@@ -6,11 +6,10 @@ the candidate whose preceding-context n-gram is most frequent in a corpus
 index. The index can be queried in-process or over a small HTTP service.
 """
 from asrspell.backend import Backend, BackendError
-from asrspell.candidates import (Candidate, CandidateSet, char_bigrams,
+from asrspell.candidates import (Candidate, char_bigrams,
                                  generate_candidates, shared_bigram_count)
-from asrspell.correct import (ContextQuery, CorrectionDecision,
-                              CorrectionResult, PipelineConfig,
-                              build_context_queries, correct_transcript,
+from asrspell.correct import (CorrectionDecision, CorrectionResult,
+                              PipelineConfig, correct_transcript,
                               select_correction)
 from asrspell.corrupt import (CorruptionKind, CorruptionRecord,
                               CorruptionSpec, InjectionResult, inject_errors,
@@ -28,11 +27,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Backend", "BackendError",
-    "Candidate", "CandidateSet", "char_bigrams", "generate_candidates",
-    "shared_bigram_count",
-    "ContextQuery", "CorrectionDecision", "CorrectionResult",
-    "PipelineConfig", "build_context_queries", "correct_transcript",
-    "select_correction",
+    "Candidate", "char_bigrams", "generate_candidates", "shared_bigram_count",
+    "CorrectionDecision", "CorrectionResult", "PipelineConfig",
+    "correct_transcript", "select_correction",
     "CorruptionKind", "CorruptionRecord", "CorruptionSpec", "InjectionResult",
     "inject_errors", "load_ground_truth", "save_ground_truth",
     "DetectedError", "ErrorKind", "Transcript", "detect_nonword_errors",

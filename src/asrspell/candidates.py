@@ -6,7 +6,7 @@ how many distinct pairs it shares, and the top k (default 8) survive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 
 
@@ -33,26 +33,14 @@ class Candidate:
         return (-self.shared, -self.unigram_count, self.word)
 
 
-@dataclass
-class CandidateSet:
-    error: str
-    ranked: list[Candidate] = field(default_factory=list)
-
-    def words(self) -> list[str]:
-        return [c.word for c in self.ranked]
-
-    def __bool__(self) -> bool:
-        return bool(self.ranked)
-
-
-def generate_candidates(error: str, backend, k: int = 8) -> CandidateSet:
+def generate_candidates(error: str, backend, k: int = 8) -> list[Candidate]:
     """Top-k correction candidates for `error`, ranked by shared bigram
     count, then corpus frequency, then word.
 
-    The error word itself is never a candidate. Returns an empty set when
+    The error word itself is never a candidate. Returns an empty list when
     no vocabulary word shares a bigram with the error (callers leave such
     errors uncorrected). The pipeline ranks all of a transcript's errors
     in one ``rank_by_shared_bigrams`` call instead; this is the same
     ranking for one word.
     """
-    return CandidateSet(error, backend.rank_by_shared_bigrams([error], k)[0])
+    return backend.rank_by_shared_bigrams([error], k)[0]

@@ -158,7 +158,11 @@ def load_ground_truth(path: str | os.PathLike) -> list[CorruptionRecord]:
             if len(parts) != 4:
                 raise ValueError(
                     f"{Path(path)}:{lineno}: expected 4 tab-separated fields")
-            records.append(CorruptionRecord(
-                position=int(parts[0]), original=parts[1],
-                corrupted=parts[2], kind=CorruptionKind(parts[3])))
+            position, original, corrupted, kind = parts
+            try:
+                records.append(CorruptionRecord(
+                    position=int(position), original=original,
+                    corrupted=corrupted, kind=CorruptionKind(kind)))
+            except ValueError as exc:
+                raise ValueError(f"{Path(path)}:{lineno}: {exc}") from None
     return records

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from itertools import islice
 
 # generate_candidates is not called here; it stays importable from this
 # module for the callers that look it up by this name.
@@ -44,6 +44,11 @@ class Transcript:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    def context(self, position: int, window: int) -> tuple[str, ...]:
+        """The at most `window` tokens directly before `position`, in
+        textual order."""
+        return tuple(self.tokens[max(0, position - window):position])
 
 
 def tokenize(text: str) -> Transcript:
@@ -135,11 +140,10 @@ def detect_realword_suspects(transcript: Transcript, backend,
     that survive the bound. Those tokens are ranked in one
     ``rank_by_shared_bigrams`` call.
     """
-    if margin < 1:
+    if not margin >= 1:  # NaN too
         raise ValueError(f"margin must be >= 1, got {margin}")
-    tokens = transcript.tokens
-    checked = [(i, tuple(tokens[max(0, i - window):i]), token)
-               for i, token in enumerate(tokens)
+    checked = [(i, transcript.context(i, window), token)
+               for i, token in enumerate(transcript.tokens)
                if i > 0 and len(token) >= 2 and not _exempt(token)]
     # Per token: its unigram, its own query and, unless empty, its prefix;
     # the counts are read back in that order.
@@ -160,22 +164,14 @@ def detect_realword_suspects(transcript: Transcript, backend,
         return []
     ranked = backend.rank_by_shared_bigrams(
         [token for _, _, token, _ in survivors], k)
-    survivors = [(*survivor, [c.word for c in candidates])
-                 for survivor, candidates in zip(survivors, ranked,
-                                                 strict=True)]
-    counts = count_distinct(backend, (
-        (*prefix, cand) for _, prefix, _, _, cands in survivors
-        for cand in cands))
+    # Every survivor's candidates in one call, each reading its own run
+    # of the counts. A threshold is at least 1, so no candidates flag
+    # nothing.
+    queries = [(*prefix, c.word)
+               for (_, prefix, _, _), cands in zip(survivors, ranked,
+                                                   strict=True)
+               for c in cands]
+    counts = iter(backend.ngram_count(queries) if queries else ())
     return [DetectedError(i, token, ErrorKind.REALWORD_SUSPECT)
-            for i, prefix, token, threshold, cands in survivors
-            if any(counts[(*prefix, cand)] >= threshold for cand in cands)]
-
-
-def count_distinct(backend, queries: Iterable[tuple[str, ...]]
-                   ) -> dict[tuple[str, ...], int]:
-    """The count of each distinct query, from one ``ngram_count`` call,
-    or from none when there is no query."""
-    keys = list(dict.fromkeys(queries))
-    if not keys:
-        return {}
-    return dict(zip(keys, backend.ngram_count(keys), strict=True))
+            for (i, _, token, threshold), cands in zip(survivors, ranked)
+            if max(islice(counts, len(cands)), default=0) >= threshold]

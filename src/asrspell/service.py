@@ -56,6 +56,8 @@ log = logging.getLogger(__name__)
 POSTINGS_CAP = 1000
 IDLE_TIMEOUT_S = 30
 MAX_BATCH_BYTES = 65536
+# The largest k /v1/candidates accepts: int64, the bound of every count.
+_MAX_K = 2**63 - 1
 # Worker threads, one per open connection, that the server runs at once.
 MAX_WORKERS = 32
 # How long a refused connection may take to close after its 503.
@@ -164,8 +166,8 @@ def _make_handler(index: NgramIndex):
                 self._reply(400, f"bad Content-Length {length!r}\n",
                             close=True)
                 return
-            size = int(length)
-            if size > MAX_BATCH_BYTES:
+            size = _number(length, MAX_BATCH_BYTES)
+            if size is None:
                 self._reply(413, f"body exceeds {MAX_BATCH_BYTES} bytes\n",
                             close=True)
                 return
@@ -204,10 +206,11 @@ def _make_handler(index: NgramIndex):
             return "".join(f"{c}\n" for c in index.ngram_count(queries))
 
         def _candidates(self, query: str, body: bytes) -> str:
-            k = query.removeprefix("k=")
-            if not (query.startswith("k=") and _digits(k) and int(k) >= 1):
-                raise _BadRequest(f"the query must be k=<integer >= 1>, "
-                                  f"got {query!r}")
+            k = _number(query.removeprefix("k="), _MAX_K)
+            if not (query.startswith("k=") and k is not None and k >= 1):
+                raise _BadRequest(f"the query must be k=<integer >= 1> "
+                                  f"of at most {_MAX_K}, "
+                                  f"got {query[:100]!r}")
             words = _body_lines(body)
             for lineno, word in enumerate(words, start=1):
                 if word.split() != [word]:
@@ -216,7 +219,7 @@ def _make_handler(index: NgramIndex):
             return "".join(
                 "\t".join(f"{c.word}\t{c.shared}\t{c.unigram_count}"
                           for c in ranked) + "\n"
-                for ranked in index.rank_by_shared_bigrams(words, int(k)))
+                for ranked in index.rank_by_shared_bigrams(words, k))
 
         def _postings(self, query: str) -> str:
             params = urllib.parse.parse_qs(query, keep_blank_values=True)
@@ -252,6 +255,17 @@ class _BadRequest(Exception):
 def _digits(text: str) -> bool:
     """Whether `text` is a non-empty run of ASCII digits."""
     return text.isascii() and text.isdigit()
+
+
+def _number(text: str, limit: int) -> int | None:
+    """The value of a run of ASCII digits when it is at most `limit`, else
+    None. A run longer than `limit`'s digits is over it without int(),
+    which refuses runs of more than 4300 digits."""
+    digits = text.lstrip("0") or "0"
+    if not _digits(text) or len(digits) > len(str(limit)):
+        return None
+    value = int(digits)
+    return value if value <= limit else None
 
 
 def _body_lines(body: bytes) -> list[str]:

@@ -11,10 +11,11 @@ import threading
 import pytest
 
 from asrspell import (CorruptionSpec, EvaluationReport, RemoteBackend,
-                      build_context_queries, build_index, correct_transcript,
-                      detect_nonword_errors, evaluate, generate_candidates,
-                      inject_errors, load_index, save_index, serve,
-                      shared_bigram_count, tokenize)
+                      build_index, correct_transcript, detect_nonword_errors,
+                      evaluate, generate_candidates, inject_errors,
+                      load_index, save_index, serve, shared_bigram_count,
+                      tokenize)
+from asrspell.correct import selection_queries
 from tests._synth import passage_of, synth_corpus
 from tests.conftest import WORKED_ERROR_TEXT, WORKED_SENTENCE
 from tests.test_candidates import brute_force_candidates
@@ -30,10 +31,10 @@ def test_criterion_01_worked_example_end_to_end(worked_index):
     [decision] = result.decisions
     assert decision.backoff_order == 5
     assert decision.chosen == "shows"
-    shared = {c.word: c.shared for c in decision.candidates.ranked}
+    shared = {c.word: c.shared for c in decision.candidates}
     assert shared["haws"] == 3
     assert shared["shows"] == 2
-    assert decision.candidates.ranked[0].word == "haws"  # outranked anyway
+    assert decision.candidates[0].word == "haws"  # outranked anyway
     _ok(1, "error text corrects to the attested sentence; context beats "
            "the higher bigram score of 'haws' at order 5")
 
@@ -53,11 +54,14 @@ def test_criterion_02_candidate_score_oracle():
 
 def test_criterion_03_context_query_construction(worked_index):
     transcript = tokenize(WORKED_ERROR_TEXT)
-    cands = generate_candidates("shaws", worked_index, k=8)
-    queries = build_context_queries(transcript, 5, cands)
+    words = [c.word for c in generate_candidates("shaws", worked_index, k=8)]
+    prefix = transcript.context(5, 4)
+    # The full-order queries come first, one per candidate.
+    queries = selection_queries(prefix, words)[:len(words)]
     assert len(queries) == 8
-    assert all(q.prefix == ("episodes", "of", "your", "favorite")
+    assert all(q[:-1] == ("episodes", "of", "your", "favorite")
                for q in queries)
+    assert [q[-1] for q in queries] == words
     _ok(3, "all 8 candidates query the prefix 'episodes of your favorite'")
 
 
@@ -100,7 +104,7 @@ def test_criterion_05_candidate_oracle_equivalence():
             index = build_index(" ".join(weighted))
         error = "".join(rng.choice(letters)
                         for _ in range(rng.randint(2, 10)))
-        got = generate_candidates(error, index, k=8).ranked
+        got = generate_candidates(error, index, k=8)
         assert got == brute_force_candidates(error, index, 8)
         instances += 1
     _ok(5, f"generate_candidates equals the full-vocabulary scan on "

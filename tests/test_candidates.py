@@ -63,7 +63,7 @@ def brute_force_candidates(error, index, k):
 
 class TestGenerateCandidates:
     def test_worked_example_scores(self, worked_index):
-        ranked = generate_candidates("shaws", worked_index, k=8).ranked
+        ranked = generate_candidates("shaws", worked_index, k=8)
         by_word = {c.word: c.shared for c in ranked}
         assert by_word["haws"] == 3
         for word in ["shows", "saws", "hawk", "shank", "maws"]:
@@ -73,13 +73,14 @@ class TestGenerateCandidates:
         assert len(ranked) == 8
 
     def test_frequent_word_wins_tie(self, worked_index):
-        ranked = generate_candidates("shaws", worked_index, k=8).ranked
+        ranked = generate_candidates("shaws", worked_index, k=8)
         twos = [c for c in ranked if c.shared == 2]
         assert twos[0].word == "shows"        # corpus count 7 vs 1
 
     def test_error_not_its_own_candidate(self):
         index = build_index("shaws shows")
-        assert "shaws" not in generate_candidates("shaws", index).words()
+        assert "shaws" not in [c.word
+                               for c in generate_candidates("shaws", index)]
 
     def test_no_postings_empty_set(self, worked_index):
         assert not generate_candidates("qqqq", worked_index)
@@ -89,7 +90,7 @@ class TestGenerateCandidates:
 
     def test_superset_word_ranks_first(self):
         index = build_index("shawstrom other words here")
-        ranked = generate_candidates("shaws", index).ranked
+        ranked = generate_candidates("shaws", index)
         assert ranked[0].word == "shawstrom"
         assert ranked[0].shared == len(char_bigrams("shaws"))
 
@@ -98,7 +99,7 @@ class TestGenerateCandidates:
             generate_candidates("shaws", worked_index, k=0)
 
     def test_every_candidate_shares_and_is_vocab(self, worked_index):
-        for c in generate_candidates("shaws", worked_index, k=8).ranked:
+        for c in generate_candidates("shaws", worked_index, k=8):
             assert shared_bigram_count("shaws", c.word) == c.shared >= 1
             assert worked_index.unigram_exists(c.word)
             assert [c.unigram_count] == worked_index.ngram_count([[c.word]])
@@ -118,7 +119,7 @@ class TestGenerateCandidates:
                 error = "".join(rng.choice(letters)
                                 for _ in range(rng.randint(2, 9)))
                 k = rng.choice([1, 3, 8, 20])
-                got = generate_candidates(error, index, k=k).ranked
+                got = generate_candidates(error, index, k=k)
                 assert got == brute_force_candidates(error, index, k)
 
 

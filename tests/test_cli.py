@@ -1,8 +1,10 @@
+import os
 import socket
 import subprocess
 import sys
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +118,26 @@ def test_bad_rate_exits_2(tmp_path, index_dir):
                  str(tmp_path / "g"), "--nonword-rate", "1.5"]) == 2
 
 
+@pytest.mark.parametrize("margin", ["5", "nan", "0.5"])
+def test_realword_margin_below_one_exits_2(tmp_path, index_dir, capsys,
+                                           margin):
+    src = tmp_path / "asr.txt"
+    src.write_text("watch episodes of your favorite shawls and more",
+                   encoding="utf-8")
+    out = tmp_path / "out.txt"
+    code = main(["correct", "--index", str(index_dir), "--in", str(src),
+                 "--out", str(out), "--realword", "on",
+                 "--margin", margin])
+    err = capsys.readouterr().err
+    if margin == "5":
+        assert code == 0
+        assert "favorite shows" in out.read_text(encoding="utf-8")
+    else:
+        assert code == 2
+        assert f"realword_margin must be >= 1, got {float(margin)}" in err
+        assert not out.exists()
+
+
 def test_version_exits_0(capsys):
     assert main(["--version"]) == 0
 
@@ -128,9 +150,11 @@ def _free_port():
 
 def test_serve_subprocess_and_remote_correct(tmp_path, index_dir):
     port = _free_port()
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
         [sys.executable, "-m", "asrspell", "serve", "--index",
          str(index_dir), "--port", str(port)],
+        env={**os.environ, "PYTHONPATH": str(src)},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         base = f"http://127.0.0.1:{port}"

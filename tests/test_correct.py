@@ -1,16 +1,14 @@
 import logging
-import random
+import math
 from collections import Counter
 
 import pytest
 
 from asrspell import (BackendError, CorruptionSpec, PipelineConfig,
-                      RemoteBackend, build_context_queries, build_index,
-                      correct_transcript, detect_nonword_errors,
-                      generate_candidates, inject_errors, select_correction,
-                      tokenize)
-from asrspell.correct import (ContextQuery, CorrectionDecision,
-                              selection_queries)
+                      RemoteBackend, build_index, correct_transcript,
+                      detect_nonword_errors, generate_candidates,
+                      inject_errors, select_correction, tokenize)
+from asrspell.correct import CorrectionDecision, selection_queries
 from asrspell.detect import ErrorKind, _exempt
 from tests._synth import passage_of, synth_corpus
 from tests.conftest import WORKED_ERROR_TEXT, WORKED_SENTENCE
@@ -20,11 +18,15 @@ from tests.test_service import _Server
 CORRECTED = WORKED_SENTENCE  # what the error text must become
 
 
-def select(queries, backend, config=None):
+def select(prefix, words, backend, config=None):
     """select_correction over the counts it reads, from one ngram_count
     call to `backend`."""
-    counts = backend.ngram_count(selection_queries(queries, config))
-    return select_correction(queries, counts, config)
+    counts = backend.ngram_count(selection_queries(prefix, words, config))
+    return select_correction(prefix, words, counts, config)
+
+
+def words_of(candidates):
+    return [c.word for c in candidates]
 
 
 def test_pipeline_config_validation():
@@ -34,81 +36,92 @@ def test_pipeline_config_validation():
         PipelineConfig(context_window=5)
     with pytest.raises(ValueError):
         PipelineConfig(context_window=-1)
+    # NaN compares false with everything: as a margin it would flag no
+    # token at all.
+    for margin in [math.nan, 0.5]:
+        with pytest.raises(ValueError, match="realword_margin must be >= 1"):
+            PipelineConfig(realword_enabled=True, realword_margin=margin)
 
 
 class TestBuildContextQueries:
+    """The context of an error position, and the queries selection builds
+    from it and the candidate words."""
+
     def test_worked_example_prefix(self, worked_index):
         transcript = tokenize(WORKED_ERROR_TEXT)
-        cands = generate_candidates("shaws", worked_index, k=8)
-        queries = build_context_queries(transcript, 5, cands)
-        assert len(queries) == 8
-        for q in queries:
-            assert q.prefix == ("episodes", "of", "your", "favorite")
-            assert q.order == 5
+        words = words_of(generate_candidates("shaws", worked_index, k=8))
+        prefix = transcript.context(5, 4)
+        assert len(words) == 8
+        assert prefix == ("episodes", "of", "your", "favorite")
+        # The first queries are the full order 5, one per candidate.
+        queries = selection_queries(prefix, words)
+        assert queries[:8] == [(*prefix, w) for w in words]
 
     def test_first_token_has_no_prefix(self, worked_index):
         transcript = tokenize(WORKED_ERROR_TEXT)
-        cands = generate_candidates("shaws", worked_index, k=3)
-        queries = build_context_queries(transcript, 0, cands)
-        assert all(q.prefix == () and q.order == 1 for q in queries)
+        words = words_of(generate_candidates("shaws", worked_index, k=3))
+        assert transcript.context(0, 4) == ()
+        assert selection_queries((), words) == [(w,) for w in words]
 
     def test_truncated_prefix(self, worked_index):
         transcript = tokenize(WORKED_ERROR_TEXT)
-        cands = generate_candidates("shaws", worked_index, k=1)
-        queries = build_context_queries(transcript, 2, cands)
-        assert queries[0].prefix == ("watch", "episodes")
-        assert queries[0].order == 3
+        words = words_of(generate_candidates("shaws", worked_index, k=1))
+        prefix = transcript.context(2, 4)
+        assert prefix == ("watch", "episodes")
+        assert selection_queries(prefix, words) == [
+            ("watch", "episodes", words[0]), ("episodes", words[0]),
+            (words[0],)]
 
-    def test_position_out_of_range(self, worked_index):
-        transcript = tokenize("one two")
-        cands = generate_candidates("shaws", worked_index, k=1)
-        with pytest.raises(ValueError):
-            build_context_queries(transcript, 2, cands)
-
-
-def query_context(q: ContextQuery, order: int) -> tuple[str, ...]:
-    """The prefix tokens that ``query_tokens(q, order)`` keeps."""
-    return q.prefix[max(0, len(q.prefix) - (order - 1)):]
+    def test_window_bounds_the_prefix(self):
+        transcript = tokenize(WORKED_ERROR_TEXT)
+        assert transcript.context(5, 0) == ()
+        assert transcript.context(5, 2) == ("your", "favorite")
+        assert transcript.context(7, 4) == ("your", "favorite", "shaws",
+                                            "and")
 
 
-def query_tokens(q: ContextQuery, order: int | None = None) -> list[str]:
+def query_context(prefix: tuple[str, ...], order: int) -> tuple[str, ...]:
+    """The prefix tokens that ``query_tokens(prefix, word, order)``
+    keeps."""
+    return prefix[max(0, len(prefix) - (order - 1)):]
+
+
+def query_tokens(prefix: tuple[str, ...], word: str,
+                 order: int | None = None) -> list[str]:
     """The query token sequence, truncated from the left to `order` (whole
     when `order` exceeds the query's own)."""
     if order is None:
-        order = q.order
-    return [*query_context(q, order), q.candidate]
+        order = len(prefix) + 1
+    return [*query_context(prefix, order), word]
 
 
 class TestContextQueryTokens:
     def test_truncated_from_the_left(self):
-        q = ContextQuery(("a", "b", "c", "d"), "e")
-        assert query_tokens(q) == ["a", "b", "c", "d", "e"]
-        assert query_tokens(q, 3) == ["c", "d", "e"]
-        assert query_tokens(q, 1) == ["e"]
+        prefix = ("a", "b", "c", "d")
+        assert query_tokens(prefix, "e") == ["a", "b", "c", "d", "e"]
+        assert query_tokens(prefix, "e", 3) == ["c", "d", "e"]
+        assert query_tokens(prefix, "e", 1) == ["e"]
 
     @pytest.mark.parametrize("prefix", [(), ("a",), ("a", "b"),
                                         ("a", "b", "c")])
     def test_whole_above_own_order(self, prefix):
-        q = ContextQuery(prefix, "z")
-        for order in range(q.order, 6):
-            assert query_tokens(q, order) == [*prefix, "z"]
-            assert query_context(q, order) == prefix
+        for order in range(len(prefix) + 1, 6):
+            assert query_tokens(prefix, "z", order) == [*prefix, "z"]
+            assert query_context(prefix, order) == prefix
 
 
 class TestSelectCorrection:
     def test_full_order_decision(self, worked_index):
         transcript = tokenize(WORKED_ERROR_TEXT)
-        cands = generate_candidates("shaws", worked_index, k=8)
-        queries = build_context_queries(transcript, 5, cands)
-        decision = select(queries, worked_index)
+        words = words_of(generate_candidates("shaws", worked_index, k=8))
+        decision = select(transcript.context(5, 4), words, worked_index)
         assert decision.chosen == "shows"
         assert decision.backoff_order == 5
         assert decision.scores["shows"] == (5, 7)
         assert decision.scores["haws"] == (5, 0)
 
     def test_singleton_candidate(self, worked_index):
-        queries = [ContextQuery(("your", "favorite"), "shows")]
-        decision = select(queries, worked_index)
+        decision = select(("your", "favorite"), ["shows"], worked_index)
         assert decision.chosen == "shows"
         assert decision.backoff_order == 3
 
@@ -120,9 +133,8 @@ class TestSelectCorrection:
                    "shawls shays shank sham haws hawk saws sawn maws hews"])
         index = build_index(corpus)
         transcript = tokenize(WORKED_ERROR_TEXT)
-        cands = generate_candidates("shaws", index, k=8)
-        queries = build_context_queries(transcript, 5, cands)
-        decision = select(queries, index)
+        words = words_of(generate_candidates("shaws", index, k=8))
+        decision = select(transcript.context(5, 4), words, index)
         assert decision.chosen == "shows"
         assert decision.backoff_order == 3
         assert decision.scores["shows"] == (3, 3)
@@ -132,61 +144,49 @@ class TestSelectCorrection:
                   "more", "haws"]
         index = build_index(corpus)
         transcript = tokenize(WORKED_ERROR_TEXT)
-        cands = generate_candidates("shaws", index, k=8)
-        queries = build_context_queries(transcript, 5, cands)
-        decision = select(
-            queries, index, PipelineConfig(backoff_enabled=False))
+        words = words_of(generate_candidates("shaws", index, k=8))
+        decision = select(transcript.context(5, 4), words, index,
+                          PipelineConfig(backoff_enabled=False))
         assert decision.chosen is None
         assert decision.backoff_order == 5
 
     def test_tie_breaks_by_candidate_rank(self, worked_index):
-        queries = [ContextQuery((), "haws"), ContextQuery((), "maws")]
-        decision = select(queries, worked_index)
+        decision = select((), ["haws", "maws"], worked_index)
         assert decision.chosen == "haws"  # both count 1, first rank wins
 
     def test_empty_queries_rejected(self):
-        with pytest.raises(ValueError):
-            selection_queries([])
-        with pytest.raises(ValueError):
-            select_correction([], [])
+        for prefix in [(), ("your", "favorite")]:
+            with pytest.raises(ValueError, match="words must be non-empty"):
+                selection_queries(prefix, [])
+            with pytest.raises(ValueError, match="words must be non-empty"):
+                select_correction(prefix, [], [])
 
     def test_counts_of_wrong_length_rejected(self, worked_index):
-        queries = [ContextQuery(("your", "favorite"), w)
-                   for w in ["shows", "haws"]]
-        counts = worked_index.ngram_count(selection_queries(queries))
-        assert len(counts) == 6  # two queries at orders 3, 2 and 1
+        prefix, words = ("your", "favorite"), ["shows", "haws"]
+        counts = worked_index.ngram_count(selection_queries(prefix, words))
+        assert len(counts) == 6  # two words at orders 3, 2 and 1
         for wrong in [counts[:-1], counts + [0], counts[:2]]:
-            with pytest.raises(ValueError, match="counts for 2 queries"):
-                select_correction(queries, wrong)
-        with pytest.raises(ValueError, match="counts for 2 queries"):
-            select_correction(queries, counts,
+            with pytest.raises(ValueError, match="counts for 2 words"):
+                select_correction(prefix, words, wrong)
+        with pytest.raises(ValueError, match="counts for 2 words"):
+            select_correction(prefix, words, counts,
                               PipelineConfig(backoff_enabled=False))
 
-    def test_queries_with_different_prefixes_rejected(self, worked_index):
-        # Scored as one, "shows" (unigram count 7) would beat the 4-gram
-        # count of "haws" under an order-4 label it never had.
-        queries = [ContextQuery(("of", "your", "favorite"), "haws"),
-                   ContextQuery((), "shows")]
-        with pytest.raises(ValueError, match="one context prefix"):
-            selection_queries(queries)
-        with pytest.raises(ValueError, match="one context prefix"):
-            select_correction(queries, [0, 7] * 4)
 
-
-def unpruned_select(queries, backend, config):
-    """Reference: select_correction counting every query at every order,
+def unpruned_select(prefix, words, backend, config):
+    """Reference: select_correction counting every word at every order,
     without the context-count bound."""
-    full_order = queries[0].order
+    full_order = len(prefix) + 1
     orders = (range(full_order, 0, -1) if config.backoff_enabled
               else [full_order])
     scores = {}
     for order in orders:
-        counts = backend.ngram_count([query_tokens(q, order)
-                                      for q in queries])
-        scores = {q.candidate: (order, c) for q, c in zip(queries, counts)}
+        counts = backend.ngram_count([query_tokens(prefix, w, order)
+                                      for w in words])
+        scores = {w: (order, c) for w, c in zip(words, counts)}
         if max(counts) > 0:
             return CorrectionDecision(
-                chosen=queries[counts.index(max(counts))].candidate,
+                chosen=words[counts.index(max(counts))],
                 scores=scores, backoff_order=order)
     return CorrectionDecision(chosen=None, scores=scores,
                               backoff_order=orders[-1])
@@ -216,78 +216,43 @@ def synth_texts():
 
 @pytest.fixture(scope="module")
 def synth_selection(synth_texts):
-    """The context queries of every non-word error in `synth_texts`, at
-    windows 0-4."""
+    """The context and candidate words of every non-word error in
+    `synth_texts`, at windows 0-4."""
     index, texts = synth_texts
-    query_sets = []
+    selections = []
     for i, text in enumerate(texts):
         transcript = tokenize(text)
         for error in detect_nonword_errors(transcript, index):
-            cands = generate_candidates(error.token, index, k=8)
-            if cands:
-                query_sets.append(build_context_queries(
-                    transcript, error.position, cands, window=i % 5))
-    return index, query_sets
-
-
-def _mixed_prefix_queries(index, query_sets, rng):
-    """Query sets whose prefixes mostly differ in tokens and in length:
-    select_correction rejects those, and the pipeline never makes them."""
-    vocab = sorted(index.vocab)
-    prefixes = [qs[0].prefix for qs in query_sets]
-    mixed = []
-    for _ in range(120):
-        queries = []
-        for _ in range(rng.randint(1, 6)):
-            prefix = rng.choice(prefixes)
-            prefix = prefix[rng.randint(0, len(prefix)):]
-            if prefix and rng.random() < 0.3:
-                prefix = (rng.choice(vocab),) + prefix[1:]
-            queries.append(ContextQuery(prefix, rng.choice(vocab)))
-        mixed.append(queries)
-    return mixed
+            words = words_of(generate_candidates(error.token, index, k=8))
+            if words:
+                selections.append(
+                    (transcript.context(error.position, i % 5), words))
+    return index, selections
 
 
 class TestSelectionContextBound:
     @pytest.mark.parametrize("backoff", [True, False])
     def test_matches_unpruned_reference(self, synth_selection, backoff):
-        index, query_sets = synth_selection
+        index, selections = synth_selection
         config = PipelineConfig(backoff_enabled=backoff)
         orders = set()
-        for queries in query_sets:
-            got = select(queries, index, config)
-            assert got == unpruned_select(queries, index, config)
+        for prefix, words in selections:
+            got = select(prefix, words, index, config)
+            assert got == unpruned_select(prefix, words, index, config)
             orders.add(got.backoff_order)
         assert len(orders) >= 3  # backoff really happens
 
-    @pytest.mark.parametrize("backoff", [True, False])
-    def test_mixed_prefixes_match_reference(self, synth_selection, backoff):
-        index, query_sets = synth_selection
-        config = PipelineConfig(backoff_enabled=backoff)
-        rng = random.Random(5)
-        shared = 0
-        for queries in _mixed_prefix_queries(index, query_sets, rng):
-            if len({q.prefix for q in queries}) > 1:
-                with pytest.raises(ValueError, match="one context prefix"):
-                    select(queries, index, config)
-                continue
-            shared += 1
-            assert select(queries, index, config) == \
-                unpruned_select(queries, index, config)
-        assert 0 < shared < 120
-
     def test_unattested_context_costs_one_lookup(self, worked_index):
         # "zebra of your favorite" never occurs; "of your favorite" does.
-        cands = generate_candidates("shaws", worked_index, k=8)
-        queries = [ContextQuery(("zebra", "of", "your", "favorite"), c.word)
-                   for c in cands.ranked]
+        words = words_of(generate_candidates("shaws", worked_index, k=8))
+        prefix = ("zebra", "of", "your", "favorite")
         backend = CountingBackend(worked_index)
-        decision = select(
-            queries, backend, PipelineConfig(backoff_enabled=False))
+        decision = select(prefix, words, backend,
+                          PipelineConfig(backoff_enabled=False))
         assert decision.chosen is None
         assert (backend.calls["ngram_count"], backend.queries) == (1, 8)
         backend = CountingBackend(worked_index)
-        decision = select(queries, backend)
+        decision = select(prefix, words, backend)
         assert (decision.chosen, decision.backoff_order) == ("shows", 4)
         # One call for the 8 candidates at each of the orders 5 to 1.
         assert (backend.calls["ngram_count"], backend.queries) == (1, 40)
@@ -471,7 +436,7 @@ class TestCorrectTranscript:
         result = correct_transcript(WORKED_ERROR_TEXT, worked_index)
         for d in result.decisions:
             if d.chosen is not None:
-                assert d.chosen in d.candidates.words() or \
+                assert d.chosen in words_of(d.candidates) or \
                     d.chosen == d.error.token
 
 
@@ -512,6 +477,30 @@ class TestRealwordCorrection:
         config = PipelineConfig(realword_enabled=True, realword_margin=1)
         result = correct_transcript(WORKED_SENTENCE, index, config)
         assert result.corrected_text == WORKED_SENTENCE
+
+    def test_suspects_are_decided_at_the_full_order(self, synth_texts):
+        # Detection and selection read one context per position. A suspect
+        # has a candidate whose full-order count reaches margin * max(own,
+        # 1) >= 1, so selection never backs off from that order, and its
+        # scores are the counts detection compared.
+        index, texts = synth_texts
+        config = PipelineConfig(realword_enabled=True, realword_margin=1.5)
+        suspects = 0
+        for text in texts:
+            transcript = tokenize(text)
+            for d in correct_transcript(text, index, config).decisions:
+                if d.error.kind is not ErrorKind.REALWORD_SUSPECT:
+                    continue
+                prefix = transcript.context(d.error.position,
+                                            config.context_window)
+                order = len(prefix) + 1
+                assert d.backoff_order == order
+                words = [d.error.token, *words_of(d.candidates)]
+                counts = index.ngram_count([(*prefix, w) for w in words])
+                assert d.scores == {w: (order, c)
+                                    for w, c in zip(words, counts)}
+                suspects += 1
+        assert suspects > 0
 
 
 @pytest.mark.parametrize("realword", [False, True])

@@ -171,3 +171,15 @@ def test_ground_truth_round_trip(index, tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(result.records)
     assert all(len(line.split("\t")) == 4 for line in lines)
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("x\tshows\tshaws\tnonword", "invalid literal for int()"),
+    ("5\tshows\tshaws\tbogus", "'bogus' is not a valid CorruptionKind"),
+], ids=["position", "kind"])
+def test_ground_truth_errors_name_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "truth.tsv"
+    path.write_text(f"0\tcat\tcaat\tnonword\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_ground_truth(path)
+    assert str(err.value).startswith(f"{path}:3: {reason}")

@@ -197,6 +197,9 @@ class TestRealwordDetection:
         with pytest.raises(ValueError):
             detect_realword_suspects(tokenize("a b"), realword_index,
                                      margin=0.5)
+        with pytest.raises(ValueError, match="margin must be >= 1"):
+            detect_realword_suspects(tokenize("a b"), realword_index,
+                                     margin=math.nan)
 
 
 def unpruned_realword_suspects(transcript, backend, margin, window, k=8):
@@ -211,7 +214,7 @@ def unpruned_realword_suspects(transcript, backend, margin, window, k=8):
         prefix = transcript.tokens[max(0, i - window):i]
         [own] = backend.ngram_count([prefix + [token]])
         threshold = margin * max(own, 1)
-        cands = generate_candidates(token, backend, k=k).words()
+        cands = [c.word for c in generate_candidates(token, backend, k=k)]
         if any(count >= threshold for count in backend.ngram_count(
                 [prefix + [cand] for cand in cands])):
             suspects.append(

@@ -149,8 +149,8 @@ class TestRemoteBackend:
                 worked_index.unigrams_containing_bigram(gram)
 
     def test_candidates_match_local(self, remote, worked_index):
-        assert generate_candidates("shaws", remote, k=8).ranked == \
-            generate_candidates("shaws", worked_index, k=8).ranked
+        assert generate_candidates("shaws", remote, k=8) == \
+            generate_candidates("shaws", worked_index, k=8)
 
     def test_order_validation_mirrors_local(self, remote):
         with pytest.raises(ValueError):
@@ -357,8 +357,8 @@ class TestConnections:
             assert fresh.unigram_exists("haws")
             assert fresh.unigrams_containing_bigram("aw") == \
                 worked_index.unigrams_containing_bigram("aw")
-            assert generate_candidates("shaws", fresh).ranked == \
-                generate_candidates("shaws", worked_index).ranked
+            assert generate_candidates("shaws", fresh) == \
+                generate_candidates("shaws", worked_index)
         assert len(counted.accepted) == 1
 
     def test_connection_survives_a_400(self, counted, fresh, worked_index):
@@ -396,7 +396,7 @@ class TestConnections:
                                        worked_index):
         words = sorted(worked_index.vocab) + ["shaws", "hwas", "qq"]
         expected = {w: (worked_index.ngram_count([[w]]),
-                        generate_candidates(w, worked_index).ranked)
+                        generate_candidates(w, worked_index))
                     for w in words}
         results, errors = [], []
 
@@ -406,7 +406,7 @@ class TestConnections:
                     w = words[(offset + i) % len(words)]
                     results.append(
                         (w, (fresh.ngram_count([[w]]),
-                             generate_candidates(w, fresh).ranked)))
+                             generate_candidates(w, fresh))))
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
             finally:
@@ -512,6 +512,43 @@ def _post_raw(port, headers, body=b"", path="/v1/ngram"):
                     resp.getheader("Connection"))
     finally:
         conn.close()
+
+
+class TestOverlongNumbers:
+    """A number longer than int() reads (4300 digits) gets an answer with
+    a reason, and the server goes on serving without a traceback."""
+
+    def test_content_length_gets_413(self, counted, capfd):
+        status, reason, connection = _post_raw(
+            counted.port, [("Content-Length", "9" * 5000)])
+        assert (status, connection) == (413, "close")
+        assert str(MAX_BATCH_BYTES) in reason
+        assert fetch(f"{counted.url}/v1/ngram", b"shows\n") == (200, "7\n")
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_leading_zeros_are_read(self, counted):
+        assert _post_raw(counted.port, [("Content-Length", "0" * 5000 + "6")],
+                         b"shows\n")[:2] == (200, "7\n")
+
+    @pytest.mark.parametrize("k", ["9" * 5000, str(2**63)],
+                             ids=["5000-digits", "2**63"])
+    def test_k_gets_400(self, counted, capfd, k):
+        status, reason = fetch_error(f"{counted.url}/v1/candidates?k={k}",
+                                     b"shaws\n")
+        assert status == 400
+        assert reason.startswith("the query must be k=<integer >= 1>")
+        assert len(reason) < 200
+        assert fetch(f"{counted.url}/v1/candidates?k=1", b"shaws\n") == \
+            (200, "haws\t3\t1\n")
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("k,value", [("0" * 5000 + "8", 8),
+                                         (str(2**63 - 1), 2**63 - 1)],
+                             ids=["leading-zeros", "2**63-1"])
+    def test_k_in_range_is_read(self, counted, worked_index, k, value):
+        expected = worked_index.rank_by_shared_bigrams(["shaws"], value)
+        assert fetch(f"{counted.url}/v1/candidates?k={k}", b"shaws\n") == \
+            (200, candidate_lines(expected))
 
 
 def record_requests(remote, monkeypatch):
@@ -817,7 +854,7 @@ class TestLargeVocabularyEquality:
         got = remote.rank_by_shared_bigrams(words, 8)
         assert got == index.rank_by_shared_bigrams(words, 8)
         for word, ranked in zip(words, got):
-            assert ranked == generate_candidates(word, index, k=8).ranked
+            assert ranked == generate_candidates(word, index, k=8)
             assert (ranked == []) == (len(word) < 2), word
             assert word not in [c.word for c in ranked]
 
