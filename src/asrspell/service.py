@@ -30,16 +30,33 @@ the client raises as BackendError). The 1000-word cap applies to
 /v1/postings only: /v1/candidates ranks the whole vocabulary on the
 server, exactly as a local index does.
 
+Framing is plain HTTP/1.1, read by this module on both ends rather than
+by http.client and the email parser. The server reads a request line and
+at most MAX_HEADERS header lines of at most MAX_LINE bytes each, with
+case-insensitive names; past either limit it answers 431. A malformed
+request line, a header line without a colon, obsolete line folding and
+two Content-Length fields that differ get 400. Each of these replies
+closes the connection. A body is read by its Content-Length only:
+Transfer-Encoding is not read, so a POST without Content-Length gets 411.
+Expect: 100-continue is answered 100 Continue. A request in HTTP/1.0 or
+with Connection: close is answered and its connection closed. Every
+reply is Content-Type, Content-Length and Date (plus Connection: close
+when the server closes) and its body, sent in one write; each request of
+the client is likewise one send.
+
 Connections are kept open between requests; the server closes one after
 IDLE_TIMEOUT_S seconds without a request. Each open connection holds one
 worker thread. Past MAX_WORKERS of them a new connection is answered 503
-with Connection: close, and given no thread.
+with Connection: close and given no worker: the accepting thread sends
+the 503 without waiting, and one refusal thread waits up to
+REFUSAL_LINGER_S for each refused client to close.
 """
 from __future__ import annotations
 
-import http.client
 import logging
+import queue
 import socket
+import ssl
 import sys
 import threading
 import time
@@ -62,6 +79,13 @@ _MAX_K = 2**63 - 1
 MAX_WORKERS = 32
 # How long a refused connection may take to close after its 503.
 REFUSAL_LINGER_S = 1.0
+# Bounds on a message head, those http.client applied: the bytes of one
+# header line and the number of header lines.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+# The most bytes of a reply body the client reads in one call, so that
+# memory follows the bytes that arrive, not the length a reply claims.
+_READ_CHUNK = 1 << 20
 
 
 def serve(index: NgramIndex, bind_address: str = "127.0.0.1",
@@ -82,9 +106,14 @@ def serve(index: NgramIndex, bind_address: str = "127.0.0.1",
 
 class _Server(ThreadingHTTPServer):
     def __init__(self, server_address, handler):
-        super().__init__(server_address, handler)
         self._cap = MAX_WORKERS
         self._workers = threading.BoundedSemaphore(self._cap)
+        # Refused connections, each with the time by which it is closed;
+        # the refusal thread starts with the first of them. Set before
+        # binding, which calls server_close when it fails.
+        self._refused: queue.SimpleQueue = queue.SimpleQueue()
+        self._refusal_thread: threading.Thread | None = None
+        super().__init__(server_address, handler)
 
     def process_request(self, request, client_address):
         # A worker holds its connection for up to IDLE_TIMEOUT_S between
@@ -105,30 +134,52 @@ class _Server(ThreadingHTTPServer):
             self._workers.release()
 
     def _refuse(self, request, client_address):
-        """Answer 503 on the accepting thread and close the connection."""
+        """Answer 503 without waiting and hand the connection to the
+        refusal thread, so the accepting thread never waits on a client."""
         log.warning("%s refused: all %d workers busy", client_address[0],
                     self._cap)
         body = f"server busy: all {self._cap} workers in use\n".encode()
-        deadline = time.monotonic() + REFUSAL_LINGER_S
         try:
-            request.settimeout(REFUSAL_LINGER_S)
-            request.sendall(
+            # A new connection's send buffer takes the whole reply.
+            request.setblocking(False)
+            request.send(
                 b"HTTP/1.1 503 Service Unavailable\r\n"
                 b"Content-Type: text/plain; charset=utf-8\r\n"
                 b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
                 % (len(body), body))
             request.shutdown(socket.SHUT_WR)
-            # Closing with the client's request unread would reset the
-            # connection, and a reset can discard the 503 before the
-            # client reads it. So read until the client closes.
-            while (left := deadline - time.monotonic()) > 0:
-                request.settimeout(left)
-                if not request.recv(4096):
-                    break
         except OSError:
-            pass  # the client went away, or took too long to
-        finally:
-            self.close_request(request)
+            self.close_request(request)  # the client went away
+            return
+        self._refused.put((request, time.monotonic() + REFUSAL_LINGER_S))
+        if self._refusal_thread is None:
+            self._refusal_thread = threading.Thread(
+                target=self._linger, name="refusals", daemon=True)
+            self._refusal_thread.start()
+
+    def _linger(self):
+        """Close each refused connection once its client has closed, or
+        at its deadline. Closing with the client's request unread would
+        reset the connection, and a reset can discard the 503 before the
+        client reads it. Deadlines come in order, so no connection waits
+        past its own."""
+        while (item := self._refused.get()) is not None:
+            request, deadline = item
+            try:
+                while (left := deadline - time.monotonic()) > 0:
+                    request.settimeout(left)
+                    if not request.recv(4096):
+                        break
+            except OSError:
+                pass  # the client went away, or took too long to
+            finally:
+                self.close_request(request)
+
+    def server_close(self):
+        super().server_close()
+        if self._refusal_thread is not None:
+            self._refused.put(None)
+            self._refusal_thread.join()
 
     def handle_error(self, request, client_address):
         # A kept-alive client that goes away mid-request is not a server
@@ -143,10 +194,36 @@ class _Server(ThreadingHTTPServer):
 def _make_handler(index: NgramIndex):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
-        # Headers and body go out in two sends; with Nagle's algorithm the
-        # second waits for the client's delayed ACK, about 40 ms a request.
+        # A reply after a 100 Continue is a second send; with Nagle's
+        # algorithm it would wait for the client's delayed ACK, about
+        # 40 ms.
         disable_nagle_algorithm = True
         timeout = IDLE_TIMEOUT_S
+
+        def parse_request(self) -> bool:
+            """Read the request line and header lines into command, path,
+            request_version and headers, a dict by lower-cased name. On a
+            framing fault, reply, mark the connection closed and return
+            False."""
+            self.close_connection = True
+            line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+            self.requestline = line
+            words = line.split()
+            if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+                self._reply(400, f"bad request line {line[:200]!r}\n")
+                return False
+            self.command, self.path, self.request_version = words
+            try:
+                self.headers = _read_head(self.rfile)
+            except _FramingError as exc:
+                self._reply(exc.status, f"{exc}\n")
+                return False
+            self.close_connection = _closes(self.request_version,
+                                            self.headers)
+            if (self.headers.get("expect", "").lower() == "100-continue"
+                    and self.request_version == "HTTP/1.1"):
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            return True
 
         def do_GET(self):
             url = urllib.parse.urlparse(self.path)
@@ -158,7 +235,7 @@ def _make_handler(index: NgramIndex):
         def do_POST(self):
             # Every early reply leaves the body unread, so it also closes
             # the connection.
-            length = self.headers.get("Content-Length")
+            length = self.headers.get("content-length")
             if length is None:
                 self._reply(411, "Content-Length required\n", close=True)
                 return
@@ -233,14 +310,16 @@ def _make_handler(index: NgramIndex):
             return index.manifest.to_tsv()
 
         def _reply(self, status: int, body: str, close: bool = False):
+            """Send the status line, headers and body in one write."""
             data = body.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
-            self.send_header("Content-Length", str(len(data)))
-            if close:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(data)
+            self.close_connection |= close
+            self.log_request(status)
+            ending = "Connection: close\r\n" if self.close_connection else ""
+            head = (f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+                    f"Content-Type: text/plain; charset=utf-8\r\n"
+                    f"Content-Length: {len(data)}\r\n"
+                    f"Date: {self.date_time_string()}\r\n{ending}\r\n")
+            self.wfile.write(head.encode("latin-1") + data)
 
         def log_message(self, fmt, *args):
             log.debug("%s " + fmt, self.address_string(), *args)
@@ -250,6 +329,97 @@ def _make_handler(index: NgramIndex):
 
 class _BadRequest(Exception):
     pass
+
+
+class _FramingError(Exception):
+    """A message that breaks HTTP/1.1 framing; `status` is the reply a
+    server gives to such a request."""
+
+    def __init__(self, reason: str, status: int = 400):
+        super().__init__(reason)
+        self.status = status
+
+
+def _closes(version: str, headers: dict[str, str]) -> bool:
+    """Whether the connection ends after a message of `version` with
+    `headers`."""
+    tokens = headers.get("connection", "").lower().split(",")
+    return version == "HTTP/1.0" or "close" in map(str.strip, tokens)
+
+
+def _read_head(rfile) -> dict[str, str]:
+    """The header fields of one message, read from `rfile` up to and
+    including the blank line that ends them, by lower-cased name.
+
+    Repeated fields are joined with ", ", except Content-Length, which
+    must repeat its value.
+    """
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        raw = rfile.readline(MAX_LINE + 1)
+        if len(raw) > MAX_LINE:
+            raise _FramingError(f"header line longer than {MAX_LINE} bytes",
+                                431)
+        if raw in (b"\r\n", b"\n"):
+            return headers
+        if not raw.endswith(b"\n"):
+            raise _FramingError("connection closed in the header")
+        line = str(raw, "iso-8859-1").rstrip("\r\n")
+        name, colon, value = line.partition(":")
+        # A folded line starts with whitespace, so its name is no token.
+        if not colon or name.split() != [name]:
+            raise _FramingError(f"bad header line {line[:200]!r}")
+        name, value = name.lower(), value.strip()
+        if name in headers:
+            if name == "content-length" and headers[name] != value:
+                raise _FramingError("Content-Length fields differ")
+            if name != "content-length":
+                value = f"{headers[name]}, {value}"
+        headers[name] = value
+    raise _FramingError(f"more than {MAX_HEADERS} header lines", 431)
+
+
+def _read_reply(rfile) -> tuple[int, bytes, bool]:
+    """The status and body of one reply read from `rfile`, and whether
+    the server closes the connection after it. The body is exactly
+    Content-Length bytes. An empty status line is a ConnectionResetError,
+    as the server closed the connection before replying; any other fault
+    is a _FramingError."""
+    line = rfile.readline(MAX_LINE + 1)
+    if not line:
+        raise ConnectionResetError("connection closed before a reply")
+    version, _, rest = str(line, "iso-8859-1").partition(" ")
+    status = rest[:3]
+    if (version not in ("HTTP/1.0", "HTTP/1.1") or not _digits(status)
+            or rest[3:4] not in (" ", "\r", "\n")
+            or not line.endswith(b"\n")):
+        raise _FramingError(f"bad status line {line[:200]!r}")
+    headers = _read_head(rfile)
+    length = headers.get("content-length", "")
+    size = _number(length, sys.maxsize)
+    if size is None or "transfer-encoding" in headers:
+        raise _FramingError(f"reply without a valid Content-Length: "
+                            f"{length[:200]!r}")
+    chunks = []
+    while size:
+        chunk = rfile.read(min(size, _READ_CHUNK))
+        if not chunk:
+            raise _FramingError(f"reply body cut short, {size} bytes missing")
+        chunks.append(chunk)
+        size -= len(chunk)
+    return int(status), b"".join(chunks), _closes(version, headers)
+
+
+class _Connection:
+    """A client socket and the buffered reader its replies come from."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
 
 
 def _digits(text: str) -> bool:
@@ -291,22 +461,29 @@ class RemoteBackend:
     ``POST /v1/candidates``, in requests of at most MAX_BATCH_BYTES each,
     so a call is one request unless its lines take more than 64 KiB.
     Input the line format cannot carry is a ValueError before anything is
-    sent. Each thread keeps one persistent connection. Network faults and
-    replies of the wrong shape raise BackendError; they are never folded
-    into a zero count or an empty ranking.
+    sent. Each thread keeps one persistent connection, a socket with
+    TCP_NODELAY, and reads each reply by its Content-Length. Network
+    faults, replies whose framing is broken (no Content-Length, a body
+    cut short, a garbled head) and replies of the wrong shape raise
+    BackendError and close the connection; they are never folded into a
+    zero count or an empty ranking.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self._base = base_url.rstrip("/")
         url = urllib.parse.urlsplit(self._base)
-        if url.scheme == "https":
-            self._connection_class = http.client.HTTPSConnection
-        elif url.scheme == "http":
-            self._connection_class = http.client.HTTPConnection
-        else:
+        if url.scheme not in ("http", "https"):
             raise ValueError(f"backend URL must be http:// or https://, "
                              f"got {base_url!r}")
-        self._netloc = url.netloc
+        target = url.netloc + url.path
+        if not url.hostname or not target.isprintable() or " " in target:
+            raise ValueError(f"backend URL needs a host and no space or "
+                             f"control character: {base_url!r}")
+        self._address = (url.hostname,
+                         url.port or (443 if url.scheme == "https" else 80))
+        self._tls = (ssl.create_default_context()
+                     if url.scheme == "https" else None)
+        self._host = url.netloc.rpartition("@")[2]
         self._path = url.path
         self._timeout = timeout
         self._local = threading.local()
@@ -427,13 +604,14 @@ class RemoteBackend:
         new one. Other threads' connections close when their threads end."""
         conn = getattr(self._local, "conn", None)
         if conn is not None:
+            self._local.conn = None
             conn.close()
 
     def _call(self, method: str, path: str, body: bytes | None = None
               ) -> str:
         try:
             status, data = self._request(method, self._path + path, body)
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, _FramingError) as exc:
             raise BackendError(f"{self._base}{path}: {exc!r}") from exc
         if status == 200:
             try:
@@ -449,27 +627,43 @@ class RemoteBackend:
 
     def _request(self, method: str, target: str,
                  body: bytes | None) -> tuple[int, bytes]:
-        """One request on this thread's connection. A kept connection the
-        server has meanwhile closed is retried once on a fresh one. Every
-        request is read-only, the batch POST included, so a repeat is
-        safe."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self._connection_class(
-                self._netloc, timeout=self._timeout)
-        headers = {} if body is None else {
-            "Content-Type": "text/plain; charset=utf-8"}
+        """One request on this thread's connection, sent in one send. A
+        kept connection the server has meanwhile closed is retried once
+        on a fresh one. Every request is read-only, the batch POST
+        included, so a repeat is safe."""
+        head = f"{method} {target} HTTP/1.1\r\nHost: {self._host}\r\n"
+        if body is not None:
+            head += (f"Content-Type: text/plain; charset=utf-8\r\n"
+                     f"Content-Length: {len(body)}\r\n")
+        message = f"{head}\r\n".encode("utf-8") + (body or b"")
         while True:
-            reused = conn.sock is not None
+            conn = getattr(self._local, "conn", None)
+            reused = conn is not None
+            if conn is None:
+                conn = self._local.conn = self._connect()
             try:
-                conn.request(method, target, body=body, headers=headers)
-                with conn.getresponse() as resp:
-                    return resp.status, resp.read()
-            except (http.client.RemoteDisconnected, ConnectionResetError,
-                    BrokenPipeError):
-                conn.close()
+                conn.sock.sendall(message)
+                status, data, close = _read_reply(conn.rfile)
+            except (ConnectionResetError, BrokenPipeError):
+                self.close()
                 if not reused:
                     raise
+                continue
             except BaseException:
-                conn.close()
+                self.close()
                 raise
+            if close:
+                self.close()
+            return status, data
+
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection(self._address, self._timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(
+                    sock, server_hostname=self._address[0])
+            return _Connection(sock)
+        except BaseException:
+            sock.close()
+            raise

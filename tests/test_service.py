@@ -3,6 +3,8 @@ import http.server
 import logging
 import os
 import random
+import re
+import shutil
 import socket
 import struct
 import subprocess
@@ -1060,4 +1062,505 @@ def test_connections_over_the_worker_cap_get_503(worked_index, caplog):
     finally:
         for conn in held:
             conn.close()
+        srv.stop()
+
+
+def read_reply(rfile):
+    """Status, headers by lower-cased name and body of one reply, read by
+    a parser of the test's own."""
+    status = int(rfile.readline().split()[1])
+    headers = {}
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = rfile.read(int(headers["content-length"]))
+    return status, headers, body.decode("utf-8")
+
+
+def closed_after(sock, rfile):
+    """Whether the server closes the connection after its reply."""
+    sock.settimeout(5)
+    try:
+        return rfile.read(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+def ask(port, data):
+    """Status, headers and body of the reply to raw `data`, and whether
+    the server closed the connection after it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(data)
+        return (*read_reply(rfile), closed_after(sock, rfile))
+
+
+GET_MANIFEST = b"GET /v1/manifest HTTP/1.1\r\nHost: test\r\n"
+
+
+@pytest.fixture(scope="module")
+def port(server):
+    return server.server_address[1]
+
+
+class TestServerFraming:
+    """The server reads the request head itself; each framing fault gets
+    its status with a one-line reason and no traceback."""
+
+    @pytest.fixture(autouse=True)
+    def no_traceback(self, capfd):
+        yield
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        b"GARBAGE", b"GET /v1/manifest", b"GET /v1/manifest HTTP/1.1 x",
+        b"GET /v1/manifest HTTP/2.0", b"GET /v1/manifest FTP/1.1", b"",
+    ])
+    def test_malformed_request_line_gets_400(self, port, line):
+        status, headers, reason, closed = ask(
+            port, line + b"\r\nHost: test\r\n\r\n")
+        assert (status, headers["connection"], closed) == (400, "close", True)
+        assert reason.startswith("bad request line")
+
+    def test_header_line_over_the_limit_gets_431(self, port):
+        status, _, reason, closed = ask(
+            port, GET_MANIFEST + b"X-Big: " +
+            b"a" * service.MAX_LINE + b"\r\n\r\n")
+        assert (status, closed) == (431, True)
+        assert str(service.MAX_LINE) in reason
+
+    def test_header_count_limit(self, port, worked_index):
+        fields = [b"X-%d: 1\r\n" % n for n in range(service.MAX_HEADERS)]
+        # The Host field makes one more; HTTP/1.0 closes after the reply.
+        status, _, body, _ = ask(
+            port, GET_MANIFEST.replace(b"1.1", b"1.0") +
+            b"".join(fields[1:]) + b"\r\n")
+        assert (status, body) == (200, worked_index.manifest.to_tsv())
+        status, _, reason, closed = ask(port, GET_MANIFEST +
+                                        b"".join(fields) + b"\r\n")
+        assert (status, closed) == (431, True)
+        assert reason == f"more than {service.MAX_HEADERS} header lines\n"
+
+    @pytest.mark.parametrize("field", [
+        b"NoColon\r\n", b"X-A: 1\r\n folded\r\n", b"X-A: 1\r\n\tfolded\r\n",
+        b" X-A: 1\r\n", b"X A: 1\r\n", b": no name\r\n",
+    ])
+    def test_bad_header_line_gets_400(self, port, field):
+        status, _, reason, closed = ask(port,
+                                        GET_MANIFEST + field + b"\r\n")
+        assert (status, closed) == (400, True)
+        assert reason.startswith("bad header line")
+
+    def test_content_lengths_that_differ_get_400(self, port):
+        post = b"POST /v1/ngram HTTP/1.1\r\nHost: test\r\n"
+        status, _, reason, closed = ask(
+            port, post + b"Content-Length: 6\r\n"
+            b"Content-Length: 7\r\n\r\nshows\n")
+        assert (status, reason, closed) == \
+            (400, "Content-Length fields differ\n", True)
+        # The same length twice is one length.
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=5) as sock, \
+                sock.makefile("rb") as rfile:
+            sock.sendall(post + b"Content-Length: 6\r\nContent-Length: 6"
+                         b"\r\n\r\nshows\n")
+            assert read_reply(rfile)[::2] == (200, "7\n")
+
+    def test_transfer_encoding_without_length_gets_411(self, port):
+        status, _, reason, closed = ask(
+            port, b"POST /v1/ngram HTTP/1.1\r\nHost: test\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n6\r\nshows\n\r\n0\r\n\r\n")
+        assert (status, reason, closed) == \
+            (411, "Content-Length required\n", True)
+
+    def test_expect_100_continue(self, port):
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=5) as sock, \
+                sock.makefile("rb") as rfile:
+            sock.sendall(b"POST /v1/ngram HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: 6\r\nExpect: 100-continue\r\n\r\n")
+            # The interim reply comes before any of the body is sent.
+            assert rfile.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert rfile.readline() == b"\r\n"
+            sock.sendall(b"shows\n")
+            assert read_reply(rfile)[::2] == (200, "7\n")
+
+    @pytest.mark.parametrize("version,field", [
+        (b"HTTP/1.0", b""), (b"HTTP/1.1", b"Connection: close\r\n"),
+        (b"HTTP/1.1", b"connection: Keep-Alive, CLOSE\r\n"),
+    ])
+    def test_closing_requests_are_answered_then_closed(self, port,
+                                                       worked_index,
+                                                       version, field):
+        status, headers, body, closed = ask(
+            port, b"GET /v1/manifest " + version +
+            b"\r\nHost: test\r\n" + field + b"\r\n")
+        assert (status, body) == (200, worked_index.manifest.to_tsv())
+        assert (headers["connection"], closed) == ("close", True)
+
+    def test_header_names_are_case_insensitive(self, counted):
+        with socket.create_connection(("127.0.0.1", counted.port),
+                                      timeout=5) as sock, \
+                sock.makefile("rb") as rfile:
+            for name in [b"content-length", b"CONTENT-LENGTH",
+                         b"Content-length"]:
+                sock.sendall(b"POST /v1/ngram HTTP/1.1\r\nhOsT: test\r\n" +
+                             name + b":6\r\n\r\nshows\n")
+                status, headers, body = read_reply(rfile)
+                assert (status, body) == (200, "7\n")
+                assert "connection" not in headers  # kept open
+        assert len(counted.accepted) == 1
+
+    def test_reply_head(self, port):
+        status, headers, body, _ = ask(
+            port, b"POST /v1/ngram HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 6\r\nConnection: close\r\n\r\nshows\n")
+        assert (status, body) == (200, "7\n")
+        assert sorted(headers) == ["connection", "content-length",
+                                   "content-type", "date"]
+        assert headers["content-type"] == "text/plain; charset=utf-8"
+        assert headers["date"].endswith(" GMT")
+
+
+def test_framing_checks_hold_under_python_O():
+    """The server's framing checks are code, not assert statements."""
+    code = """if True:
+        import socket, sys, threading
+        from asrspell import build_index, serve
+        srv = serve(build_index(["your favorite shows"]), port=0)
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
+        head = b"GET /v1/manifest HTTP/1.1\\r\\nHost: t\\r\\n"
+        for data in [b"GARBAGE\\r\\n\\r\\n",
+                     head + b"X: " + b"a" * 70000 + b"\\r\\n\\r\\n",
+                     head + b"X: 1\\r\\n" * 100 + b"\\r\\n",
+                     head + b"NoColon\\r\\n\\r\\n",
+                     head + b"X: 1\\r\\n folded\\r\\n\\r\\n",
+                     b"POST /v1/ngram HTTP/1.1\\r\\nContent-Length: 6\\r\\n"
+                     b"Content-Length: 7\\r\\n\\r\\nshows\\n",
+                     b"POST /v1/ngram HTTP/1.1\\r\\n"
+                     b"Transfer-Encoding: chunked\\r\\n\\r\\n"]:
+            with socket.create_connection(srv.server_address) as sock:
+                sock.sendall(data)
+                print(sock.makefile("rb").readline().decode().strip())
+        srv.shutdown()
+        srv.server_close()
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "HTTP/1.1 400 Bad Request",
+        "HTTP/1.1 431 Request Header Fields Too Large",
+        "HTTP/1.1 431 Request Header Fields Too Large",
+        "HTTP/1.1 400 Bad Request",
+        "HTTP/1.1 400 Bad Request",
+        "HTTP/1.1 400 Bad Request",
+        "HTTP/1.1 411 Length Required",
+    ]
+    assert "Traceback" not in proc.stderr
+
+
+def test_stock_clients_get_the_same_replies(counted, worked_index):
+    """urllib, http.client and curl, which sends Expect: 100-continue
+    when asked to, read the replies as RemoteBackend does."""
+    body = b"favorite shows\nshows\nshaws\n"
+    assert fetch(f"{counted.url}/v1/ngram", body) == (200, "7\n7\n0\n")
+    assert _post_raw(counted.port, [("Content-Length", str(len(body)))],
+                     body) == (200, "7\n7\n0\n", None)
+    curl = shutil.which("curl")
+    if curl is None:
+        pytest.skip("no curl")
+    proc = subprocess.run(
+        [curl, "--silent", "--show-error", "--noproxy", "*",
+         "--max-time", "10", "-H", "Expect: 100-continue",
+         "-H", "Content-Type: text/plain", "--data-binary", "@-",
+         f"{counted.url}/v1/ngram"], input=body, capture_output=True,
+        timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"7\n7\n0\n"
+    proc = subprocess.run(
+        [curl, "--silent", "--noproxy", "*", "--max-time", "10",
+         "--http1.0", f"{counted.url}/v1/manifest"], capture_output=True,
+        timeout=30)
+    assert proc.stdout.decode() == worked_index.manifest.to_tsv()
+
+
+def test_each_message_is_one_send(counted, fresh, monkeypatch):
+    """Every request and every reply goes out in one sendall, head and
+    body together."""
+    sent = []
+    sendall = socket.socket.sendall
+
+    def recording(sock, data, *args):
+        sent.append(bytes(data))
+        return sendall(sock, data, *args)
+
+    def unexpected(sock, *args):
+        raise AssertionError("a message sent by send, not sendall")
+
+    monkeypatch.setattr(socket.socket, "sendall", recording)
+    monkeypatch.setattr(socket.socket, "send", unexpected)
+    assert fresh.max_order == 5
+    assert fresh.ngram_count([["shows"], ["favorite", "shows"]]) == [7, 7]
+    assert fresh.rank_by_shared_bigrams(["shaws"], 1) == \
+        [[Candidate("haws", 3, 1)]]
+    with pytest.raises(ValueError, match="rejected query"):
+        fresh.rank_by_shared_bigrams(["shaws"], k=1.5)
+    requests = [data for data in sent if not data.startswith(b"HTTP/")]
+    replies = [data for data in sent if data.startswith(b"HTTP/1.1 ")]
+    assert [data.split(b" ", 1)[0] for data in requests] == \
+        [b"GET", b"POST", b"POST", b"POST"]
+    assert [data.split(b" ", 2)[1] for data in replies] == \
+        [b"200", b"200", b"200", b"400"]
+    for data in sent:
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = re.search(rb"\r\nContent-Length: (\d+)\r\n", head + b"\r\n")
+        assert len(body) == (int(length[1]) if length else 0), data
+
+
+class RawServer:
+    """A server on a raw socket that answers each request with the next
+    of `replies`, each raw bytes and whether to close after it; it counts
+    the connections it accepts and those the client closes."""
+
+    def __init__(self, replies, host="127.0.0.1", family=socket.AF_INET):
+        self.replies = list(replies)
+        self.heads = []
+        self.accepted = 0
+        self.client_closes = 0
+        self._stop = threading.Event()
+        self._listener = socket.socket(family)
+        self._listener.bind((host, 0))
+        self._listener.listen()
+        self._listener.settimeout(0.05)
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.accepted += 1
+            conn.settimeout(5)
+            with conn, conn.makefile("rb") as rfile:
+                while self._answer(conn, rfile):
+                    pass
+
+    def _answer(self, conn, rfile) -> bool:
+        """Whether the connection stays open after the next request."""
+        try:
+            head = b""
+            while (line := rfile.readline()) not in (b"\r\n", b""):
+                head += line
+            length = re.search(rb"Content-Length: (\d+)", head)
+            rfile.read(int(length[1]) if length else 0)
+        except (ConnectionResetError, TimeoutError):
+            line = b""
+        if not line:
+            self.client_closes += 1
+            return False
+        self.heads.append(head)
+        data, close = self.replies.pop(0)
+        conn.sendall(data)
+        return not close
+
+    def stop(self):
+        self._stop.set()
+        self._thread.join(timeout=10)
+        self._listener.close()
+
+
+@pytest.fixture
+def raw_server():
+    servers = []
+
+    def start(replies, **kwargs):
+        servers.append(RawServer(replies, **kwargs))
+        return servers[-1]
+
+    yield start
+    for srv in servers:
+        srv.stop()
+    assert not any(srv._thread.is_alive() for srv in servers)
+
+
+MANIFEST_REPLY = (b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n"
+                  b"max_order\t5\n")
+
+
+class TestClientFraming:
+    """RemoteBackend reads replies itself: a reply whose framing is broken
+    is a BackendError, never a short or zero answer, and the client
+    closes its connection."""
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\n\r\nmax_order\t5\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\nmax_order\t5\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+        b"Content-Length: 12\r\n\r\nmax_order\t5\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\nContent-Length: 13"
+        b"\r\n\r\nmax_order\t5\n",
+        b"HTTP/1.1 2x0 OK\r\nContent-Length: 12\r\n\r\nmax_order\t5\n",
+        b"HTTP/9.9 200 OK\r\nContent-Length: 12\r\n\r\nmax_order\t5\n",
+        b"hello\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\n" + b"X-A: 1\r\n" * 101 +
+        b"Content-Length: 12\r\n\r\nmax_order\t5\n",
+        b"HTTP/1.1 200 OK\r\nX-Big: " + b"a" * 70000 +
+        b"\r\nContent-Length: 12\r\n\r\nmax_order\t5\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\nbad header\r\n\r\n"
+        b"max_order\t5\n",
+    ], ids=["no-length", "bad-length", "chunked", "two-lengths",
+            "garbled-status", "bad-version", "no-status", "header-flood",
+            "long-header-line", "header-without-colon"])
+    def test_broken_reply_is_a_backend_error(self, raw_server, reply):
+        srv = raw_server([(reply, False), (MANIFEST_REPLY, False)])
+        remote = RemoteBackend(f"http://127.0.0.1:{srv.port}", timeout=5)
+        with pytest.raises(BackendError, match="/v1/manifest"):
+            remote.manifest()
+        # The client closed the connection and opens a new one.
+        assert remote.manifest() == {"max_order": "5"}
+        assert (srv.accepted, srv.client_closes) == (2, 1)
+        remote.close()
+
+    def test_body_cut_short_by_a_close(self, raw_server):
+        srv = raw_server([
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n7\n", True),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n7\n", False)])
+        remote = RemoteBackend(f"http://127.0.0.1:{srv.port}", timeout=5)
+        remote._max_order = 5  # no manifest request
+        with pytest.raises(BackendError, match="cut short"):
+            remote.ngram_count([["shows"]])
+        assert remote.ngram_count([["shows"]]) == [7]
+        assert srv.accepted == 2
+        remote.close()
+
+    def test_connection_close_reply_makes_the_next_call_reconnect(
+            self, raw_server):
+        # The server leaves the connection open: the client must close
+        # it on the header alone, and not send its next request there.
+        closing = MANIFEST_REPLY.replace(b"\r\n\r\n",
+                                         b"\r\nConnection: close\r\n\r\n")
+        srv = raw_server([(closing, False), (MANIFEST_REPLY, False),
+                          (MANIFEST_REPLY, False)])
+        remote = RemoteBackend(f"http://127.0.0.1:{srv.port}", timeout=5)
+        for _ in range(3):
+            assert remote.manifest() == {"max_order": "5"}
+        assert (srv.accepted, srv.client_closes) == (2, 1)
+        remote.close()
+
+    def test_server_closing_an_idle_connection_is_retried_once(
+            self, raw_server):
+        # The server closes after its reply without saying so: the next
+        # request finds the kept connection closed and goes out again on
+        # a new one.
+        srv = raw_server([(MANIFEST_REPLY, True), (MANIFEST_REPLY, False)])
+        remote = RemoteBackend(f"http://127.0.0.1:{srv.port}", timeout=5)
+        assert remote.manifest() == {"max_order": "5"}
+        assert remote.manifest() == {"max_order": "5"}
+        assert srv.accepted == 2
+        assert len(srv.heads) == 2
+        remote.close()
+
+    def test_request_head(self, raw_server):
+        srv = raw_server([(MANIFEST_REPLY, False),
+                          (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n"
+                           b"7\n", False)])
+        remote = RemoteBackend(f"http://127.0.0.1:{srv.port}/prefix/")
+        assert remote.ngram_count([["shows"]]) == [7]
+        remote.close()
+        assert srv.heads == [
+            b"GET /prefix/v1/manifest HTTP/1.1\r\n"
+            b"Host: 127.0.0.1:%d\r\n" % srv.port,
+            b"POST /prefix/v1/ngram HTTP/1.1\r\n"
+            b"Host: 127.0.0.1:%d\r\n"
+            b"Content-Type: text/plain; charset=utf-8\r\n"
+            b"Content-Length: 6\r\n" % srv.port]
+
+    def test_ipv6_netloc(self, raw_server):
+        try:
+            srv = raw_server([(MANIFEST_REPLY, False)], host="::1",
+                             family=socket.AF_INET6)
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+        remote = RemoteBackend(f"http://[::1]:{srv.port}")
+        assert remote.manifest() == {"max_order": "5"}
+        remote.close()
+        assert srv.heads[0].split(b"\r\n")[1] == b"Host: [::1]:%d" % srv.port
+
+    @pytest.mark.parametrize("url,address", [
+        ("http://127.0.0.1", ("127.0.0.1", 80)),
+        ("https://127.0.0.1/", ("127.0.0.1", 443)),
+        ("http://[::1]", ("::1", 80)),
+        ("https://Example.COM:8443/base", ("example.com", 8443)),
+    ])
+    def test_default_ports(self, monkeypatch, url, address):
+        tried = []
+
+        def create_connection(addr, timeout):
+            tried.append(addr)
+            raise ConnectionRefusedError("refused")
+
+        monkeypatch.setattr(service.socket, "create_connection",
+                            create_connection)
+        with pytest.raises(BackendError, match="refused"):
+            RemoteBackend(url).manifest()
+        assert tried == [address]
+
+    @pytest.mark.parametrize("url", [
+        "http://", "http:///v1", "http://host/a b", "http://host/\x00",
+        "http://host:99999", "http://host:port"])
+    def test_url_that_cannot_be_sent_rejected(self, url):
+        with pytest.raises(ValueError):
+            RemoteBackend(url)
+
+
+def test_refusals_leave_the_accepting_thread_free(worked_index,
+                                                  monkeypatch):
+    """Refused clients that stay silent and open neither delay the 503s
+    of others nor a freed worker's next client."""
+    monkeypatch.setattr(service, "MAX_WORKERS", 2)
+    srv = _Server(worked_index)
+    manifest = worked_index.manifest.to_tsv()
+    held, silent = [], []
+    try:
+        for _ in range(2):  # each holds a worker
+            sock = socket.create_connection(("127.0.0.1", srv.port),
+                                            timeout=5)
+            held.append((sock, sock.makefile("rb")))
+            sock.sendall(GET_MANIFEST + b"\r\n")
+            assert read_reply(held[-1][1])[::2] == (200, manifest)
+        for _ in range(3):  # refused; they send nothing and stay open
+            start = time.monotonic()
+            sock = socket.create_connection(("127.0.0.1", srv.port),
+                                            timeout=5)
+            silent.append((sock, sock.makefile("rb")))
+            assert read_reply(silent[-1][1])[0] == 503
+            assert time.monotonic() - start < 0.5 * service.REFUSAL_LINGER_S
+        sock, rfile = held.pop()
+        rfile.close()
+        sock.close()
+        deadline = time.monotonic() + 5
+        while True:  # until the closed connection's worker has ended
+            remote = RemoteBackend(srv.url)
+            start = time.monotonic()
+            try:
+                remote.manifest()
+                break
+            except BackendError as exc:
+                assert "HTTP 503" in str(exc)
+            finally:
+                remote.close()
+                assert time.monotonic() - start < \
+                    0.5 * service.REFUSAL_LINGER_S
+            assert time.monotonic() < deadline, "no worker was freed"
+            time.sleep(0.01)
+    finally:
+        for sock, rfile in held + silent:
+            rfile.close()
+            sock.close()
         srv.stop()
