@@ -30,19 +30,23 @@ the client raises as BackendError). The 1000-word cap applies to
 /v1/postings only: /v1/candidates ranks the whole vocabulary on the
 server, exactly as a local index does.
 
-Framing is plain HTTP/1.1, read by this module on both ends rather than
-by http.client and the email parser. The server reads a request line and
-at most MAX_HEADERS header lines of at most MAX_LINE bytes each, with
-case-insensitive names; past either limit it answers 431. A malformed
-request line, a header line without a colon, obsolete line folding and
-two Content-Length fields that differ get 400. Each of these replies
-closes the connection. A body is read by its Content-Length only:
-Transfer-Encoding is not read, so a POST without Content-Length gets 411.
-Expect: 100-continue is answered 100 Continue. A request in HTTP/1.0 or
-with Connection: close is answered and its connection closed. Every
-reply is Content-Type, Content-Length and Date (plus Connection: close
-when the server closes) and its body, sent in one write; each request of
-the client is likewise one send.
+Framing is plain HTTP/1.1, read and written by this module on both ends
+rather than by http.server, http.client and the email parser: the server
+is one request loop on socketserver, and a server process loads none of
+them, nor ssl, which only an https:// RemoteBackend imports. The server
+reads a request line of at most MAX_LINE bytes, answering 414 past it,
+then at most MAX_HEADERS header lines of at most MAX_LINE bytes each,
+with case-insensitive names, answering 431 past either of those limits.
+A malformed request line, a header line without a colon, obsolete line
+folding and two Content-Length fields that differ get 400, and a method
+other than GET and POST gets 501. Each of these replies closes the
+connection. A body is read by its Content-Length only: Transfer-Encoding
+is not read, so a POST without Content-Length gets 411. Expect:
+100-continue is answered 100 Continue. A request in HTTP/1.0 or with
+Connection: close is answered and its connection closed. Every reply,
+414 and 501 included, is Content-Type, Content-Length and Date (plus
+Connection: close when the server closes) and a plain text body, sent in
+one write; each request of the client is likewise one send.
 
 Connections are kept open between requests; the server closes one after
 IDLE_TIMEOUT_S seconds without a request. Each open connection holds one
@@ -56,12 +60,11 @@ from __future__ import annotations
 import logging
 import queue
 import socket
-import ssl
+import socketserver
 import sys
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Sequence
 
 from asrspell.backend import BackendError
@@ -89,7 +92,7 @@ _READ_CHUNK = 1 << 20
 
 
 def serve(index: NgramIndex, bind_address: str = "127.0.0.1",
-          port: int = 8421) -> ThreadingHTTPServer:
+          port: int = 8421) -> socketserver.ThreadingTCPServer:
     """Bind a read-only lookup server; caller runs serve_forever()/shutdown().
 
     Port 0 picks a free port (see server.server_address). The index is
@@ -104,7 +107,10 @@ def serve(index: NgramIndex, bind_address: str = "127.0.0.1",
         ) from exc
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+    allow_reuse_address = True
+
     def __init__(self, server_address, handler):
         self._cap = MAX_WORKERS
         self._workers = threading.BoundedSemaphore(self._cap)
@@ -113,7 +119,19 @@ class _Server(ThreadingHTTPServer):
         # binding, which calls server_close when it fails.
         self._refused: queue.SimpleQueue = queue.SimpleQueue()
         self._refusal_thread: threading.Thread | None = None
+        # The second and its Date value, replaced together: a thread that
+        # reads a stale pair formats the date itself.
+        self._date = (0, "")
         super().__init__(server_address, handler)
+
+    def date(self) -> str:
+        """The current time as an IMF-fixdate, formatted once a second."""
+        now = int(time.time())
+        second, text = self._date
+        if second != now:
+            text = _imf_fixdate(now)
+            self._date = (now, text)
+        return text
 
     def process_request(self, request, client_address):
         # A worker holds its connection for up to IDLE_TIMEOUT_S between
@@ -191,138 +209,156 @@ class _Server(ThreadingHTTPServer):
             super().handle_error(request, client_address)
 
 
+# The reason phrase of each status the server sends.
+_REASONS = {
+    200: "OK", 400: "Bad Request", 404: "Not Found", 411: "Length Required",
+    413: "Request Entity Too Large", 414: "Request-URI Too Long",
+    431: "Request Header Fields Too Large", 501: "Not Implemented",
+}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep",
+           "Oct", "Nov", "Dec")
+
+
+def _imf_fixdate(seconds: float) -> str:
+    """`seconds` since the epoch as an HTTP date, such as
+    'Sun, 06 Nov 1994 08:49:37 GMT', in English whatever the locale."""
+    t = time.gmtime(seconds)
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+            f"{t.tm_year} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
 def _make_handler(index: NgramIndex):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+    def ngram_batch(query: str, body: bytes) -> str:
+        limit = index.max_order
+        queries = [line.split(" ") for line in _body_lines(body)]
+        for lineno, tokens in enumerate(queries, start=1):
+            if "" in tokens:
+                raise _BadRequest(
+                    f"line {lineno}: a query must be 1..{limit} tokens "
+                    f"separated by single spaces")
+            if len(tokens) > limit:
+                raise _BadRequest(f"line {lineno}: query order "
+                                  f"{len(tokens)} exceeds maximum {limit}")
+        return "".join(f"{c}\n" for c in index.ngram_count(queries))
+
+    def candidates(query: str, body: bytes) -> str:
+        k = _number(query.removeprefix("k="), _MAX_K)
+        if not (query.startswith("k=") and k is not None and k >= 1):
+            raise _BadRequest(f"the query must be k=<integer >= 1> "
+                              f"of at most {_MAX_K}, "
+                              f"got {query[:100]!r}")
+        words = _body_lines(body)
+        for lineno, word in enumerate(words, start=1):
+            if word.split() != [word]:
+                raise _BadRequest(f"line {lineno}: a word must be "
+                                  f"non-empty and hold no whitespace")
+        return "".join(
+            "\t".join(f"{c.word}\t{c.shared}\t{c.unigram_count}"
+                      for c in ranked) + "\n"
+            for ranked in index.rank_by_shared_bigrams(words, k))
+
+    def postings(query: str, body: bytes) -> str:
+        params = urllib.parse.parse_qs(query, keep_blank_values=True)
+        bigram = params.get("q", [])
+        if len(bigram) != 1 or len(bigram[0]) != 2:
+            raise _BadRequest("exactly one q of 2 characters required")
+        words = index.unigrams_containing_bigram(bigram[0])[:POSTINGS_CAP]
+        return "".join(w + "\n" for w in words)
+
+    def manifest(query: str, body: bytes) -> str:
+        return index.manifest.to_tsv()
+
+    routes = {
+        ("POST", "/v1/ngram"): ngram_batch,
+        ("POST", "/v1/candidates"): candidates,
+        ("GET", "/v1/postings"): postings,
+        ("GET", "/v1/manifest"): manifest,
+    }
+
+    class Handler(socketserver.StreamRequestHandler):
         # A reply after a 100 Continue is a second send; with Nagle's
         # algorithm it would wait for the client's delayed ACK, about
         # 40 ms.
         disable_nagle_algorithm = True
         timeout = IDLE_TIMEOUT_S
 
-        def parse_request(self) -> bool:
-            """Read the request line and header lines into command, path,
-            request_version and headers, a dict by lower-cased name. On a
-            framing fault, reply, mark the connection closed and return
-            False."""
-            self.close_connection = True
-            line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-            self.requestline = line
+        def handle(self):
+            """Answer the requests of one connection until the client
+            closes it, a reply closes it or it times out."""
+            try:
+                while raw := self.rfile.readline(MAX_LINE + 1):
+                    if len(raw) > MAX_LINE:
+                        reason = f"request line longer than {MAX_LINE} bytes"
+                        line, answer = "", (414, reason + "\n", True)
+                    else:
+                        line = str(raw, "iso-8859-1").rstrip("\r\n")
+                        answer = self._answer(line)
+                    if answer is None:
+                        return  # the client went away
+                    status, body, close = answer
+                    self._reply(line, status, body, close)
+                    if close:
+                        return
+            except TimeoutError as exc:
+                log.debug("%s Request timed out: %r", self.client_address[0],
+                          exc)
+
+        def _answer(self, line: str) -> tuple[int, str, bool] | None:
+            """The status and body of the reply to the request whose
+            request line is `line`, and whether the connection closes
+            after it; None when the client closes within the body. Reads
+            the rest of the request, and answers Expect: 100-continue."""
             words = line.split()
             if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
-                self._reply(400, f"bad request line {line[:200]!r}\n")
-                return False
-            self.command, self.path, self.request_version = words
+                return 400, f"bad request line {line[:200]!r}\n", True
+            method, target, version = words
             try:
-                self.headers = _read_head(self.rfile)
+                headers = _read_head(self.rfile)
             except _FramingError as exc:
-                self._reply(exc.status, f"{exc}\n")
-                return False
-            self.close_connection = _closes(self.request_version,
-                                            self.headers)
-            if (self.headers.get("expect", "").lower() == "100-continue"
-                    and self.request_version == "HTTP/1.1"):
+                return exc.status, f"{exc}\n", True
+            close = _closes(version, headers)
+            if (headers.get("expect", "").lower() == "100-continue"
+                    and version == "HTTP/1.1"):
                 self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-            return True
-
-        def do_GET(self):
-            url = urllib.parse.urlparse(self.path)
-            self._answer({
-                "/v1/postings": self._postings,
-                "/v1/manifest": self._manifest,
-            }.get(url.path), url.query)
-
-        def do_POST(self):
-            # Every early reply leaves the body unread, so it also closes
-            # the connection.
-            length = self.headers.get("content-length")
-            if length is None:
-                self._reply(411, "Content-Length required\n", close=True)
-                return
-            if not _digits(length):
-                self._reply(400, f"bad Content-Length {length!r}\n",
-                            close=True)
-                return
-            size = _number(length, MAX_BATCH_BYTES)
-            if size is None:
-                self._reply(413, f"body exceeds {MAX_BATCH_BYTES} bytes\n",
-                            close=True)
-                return
-            body = self.rfile.read(size)
-            if len(body) < size:
-                self.close_connection = True  # the client went away
-                return
-            url = urllib.parse.urlparse(self.path)
-            self._answer({
-                "/v1/ngram": self._ngram_batch,
-                "/v1/candidates": self._candidates,
-            }.get(url.path), url.query, body)
-
-        def _answer(self, route, *args):
+            body = b""
+            if method == "POST":
+                # Every early reply leaves the body unread, so it also
+                # closes the connection.
+                length = headers.get("content-length")
+                if length is None:
+                    return 411, "Content-Length required\n", True
+                if not _digits(length):
+                    return 400, f"bad Content-Length {length!r}\n", True
+                size = _number(length, MAX_BATCH_BYTES)
+                if size is None:
+                    return (413, f"body exceeds {MAX_BATCH_BYTES} bytes\n",
+                            True)
+                body = self.rfile.read(size)
+                if len(body) < size:
+                    return None
+            elif method != "GET":
+                return (501, f"method {method[:100]!r} not implemented\n",
+                        True)
+            path, _, query = target.partition("?")
+            route = routes.get((method, path))
             if route is None:
-                self._reply(404, "unknown endpoint\n")
-                return
+                return 404, "unknown endpoint\n", close
             try:
-                body = route(*args)
+                return 200, route(query, body), close
             except _BadRequest as exc:
-                self._reply(400, str(exc) + "\n")
-            else:
-                self._reply(200, body)
+                return 400, f"{exc}\n", close
 
-        def _ngram_batch(self, query: str, body: bytes) -> str:
-            limit = index.max_order
-            queries = [line.split(" ") for line in _body_lines(body)]
-            for lineno, tokens in enumerate(queries, start=1):
-                if "" in tokens:
-                    raise _BadRequest(
-                        f"line {lineno}: a query must be 1..{limit} tokens "
-                        f"separated by single spaces")
-                if len(tokens) > limit:
-                    raise _BadRequest(f"line {lineno}: query order "
-                                      f"{len(tokens)} exceeds maximum {limit}")
-            return "".join(f"{c}\n" for c in index.ngram_count(queries))
-
-        def _candidates(self, query: str, body: bytes) -> str:
-            k = _number(query.removeprefix("k="), _MAX_K)
-            if not (query.startswith("k=") and k is not None and k >= 1):
-                raise _BadRequest(f"the query must be k=<integer >= 1> "
-                                  f"of at most {_MAX_K}, "
-                                  f"got {query[:100]!r}")
-            words = _body_lines(body)
-            for lineno, word in enumerate(words, start=1):
-                if word.split() != [word]:
-                    raise _BadRequest(f"line {lineno}: a word must be "
-                                      f"non-empty and hold no whitespace")
-            return "".join(
-                "\t".join(f"{c.word}\t{c.shared}\t{c.unigram_count}"
-                          for c in ranked) + "\n"
-                for ranked in index.rank_by_shared_bigrams(words, k))
-
-        def _postings(self, query: str) -> str:
-            params = urllib.parse.parse_qs(query, keep_blank_values=True)
-            bigram = params.get("q", [])
-            if len(bigram) != 1 or len(bigram[0]) != 2:
-                raise _BadRequest("exactly one q of 2 characters required")
-            words = index.unigrams_containing_bigram(bigram[0])[:POSTINGS_CAP]
-            return "".join(w + "\n" for w in words)
-
-        def _manifest(self, query: str) -> str:
-            return index.manifest.to_tsv()
-
-        def _reply(self, status: int, body: str, close: bool = False):
+        def _reply(self, line: str, status: int, body: str, close: bool):
             """Send the status line, headers and body in one write."""
+            log.debug('%s "%s" %d -', self.client_address[0], line, status)
             data = body.encode("utf-8")
-            self.close_connection |= close
-            self.log_request(status)
-            ending = "Connection: close\r\n" if self.close_connection else ""
-            head = (f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+            ending = "Connection: close\r\n" if close else ""
+            head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
                     f"Content-Type: text/plain; charset=utf-8\r\n"
                     f"Content-Length: {len(data)}\r\n"
-                    f"Date: {self.date_time_string()}\r\n{ending}\r\n")
+                    f"Date: {self.server.date()}\r\n{ending}\r\n")
             self.wfile.write(head.encode("latin-1") + data)
-
-        def log_message(self, fmt, *args):
-            log.debug("%s " + fmt, self.address_string(), *args)
 
     return Handler
 
@@ -481,8 +517,10 @@ class RemoteBackend:
                              f"control character: {base_url!r}")
         self._address = (url.hostname,
                          url.port or (443 if url.scheme == "https" else 80))
-        self._tls = (ssl.create_default_context()
-                     if url.scheme == "https" else None)
+        self._tls = None
+        if url.scheme == "https":
+            import ssl  # only here, so that a server never loads it
+            self._tls = ssl.create_default_context()
         self._host = url.netloc.rpartition("@")[2]
         self._path = url.path
         self._timeout = timeout

@@ -1,3 +1,5 @@
+import datetime
+import email.utils
 import http.client
 import http.server
 import logging
@@ -1220,6 +1222,107 @@ class TestServerFraming:
                                    "content-type", "date"]
         assert headers["content-type"] == "text/plain; charset=utf-8"
         assert headers["date"].endswith(" GMT")
+
+
+def _request_line(length):
+    """A GET /v1/manifest request line of `length` bytes, CRLF included."""
+    head, tail = b"GET /v1/manifest?", b" HTTP/1.1\r\n"
+    return head + b"a" * (length - len(head) - len(tail)) + tail
+
+
+def test_request_line_limit(port, worked_index):
+    """A request line of MAX_LINE bytes is served; one byte more is 414."""
+    status, _, body, _ = ask(port, _request_line(service.MAX_LINE) +
+                             b"Host: test\r\nConnection: close\r\n\r\n")
+    assert (status, body) == (200, worked_index.manifest.to_tsv())
+    status, _, _, closed = ask(
+        port, _request_line(service.MAX_LINE + 1) + b"Host: test\r\n\r\n")
+    assert (status, closed) == (414, True)
+
+
+@pytest.mark.parametrize("data,status,reason", [
+    (_request_line(service.MAX_LINE + 1) + b"Host: test\r\n\r\n", 414,
+     f"request line longer than {service.MAX_LINE} bytes\n"),
+    (b"PUT /v1/ngram HTTP/1.1\r\nHost: test\r\nContent-Length: 6\r\n"
+     b"\r\nshows\n", 501, "method 'PUT' not implemented\n"),
+    (GET_MANIFEST.replace(b"GET", b"HEAD") + b"\r\n", 501,
+     "method 'HEAD' not implemented\n"),
+], ids=["414", "501-put", "501-head"])
+def test_refusals_are_one_plain_text_write(counted, monkeypatch, capfd,
+                                           data, status, reason):
+    """A request line over the limit and a method other than GET and
+    POST are answered like every other fault: plain text, one write,
+    and the connection closed."""
+    sent = []
+    sendall = socket.socket.sendall
+
+    def recording(sock, data, *args):
+        sent.append(bytes(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recording)
+    got, headers, body, closed = ask(counted.port, data)
+    assert (got, body, closed) == (status, reason, True)
+    assert headers["connection"] == "close"
+    assert headers["content-type"] == "text/plain; charset=utf-8"
+    [request, reply] = sent
+    assert request == data
+    assert reply.startswith(b"HTTP/1.1 %d " % status)
+    assert reply.endswith(b"\r\n\r\n" + reason.encode())
+    assert "Traceback" not in capfd.readouterr().err
+
+
+# One request for each status the server answers with, every one of
+# which closes its connection.
+REPLIES_BY_STATUS = [
+    (GET_MANIFEST + b"Connection: close\r\n\r\n", 200),
+    (b"GARBAGE\r\n\r\n", 400),
+    (b"GET /v2/everything HTTP/1.0\r\n\r\n", 404),
+    (b"POST /v1/ngram HTTP/1.1\r\n\r\n", 411),
+    (b"POST /v1/ngram HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+     % (MAX_BATCH_BYTES + 1), 413),
+    (_request_line(service.MAX_LINE + 1) + b"\r\n", 414),
+    (GET_MANIFEST + b"X: " + b"a" * service.MAX_LINE + b"\r\n\r\n", 431),
+    (b"PUT /v1/ngram HTTP/1.1\r\n\r\n", 501),
+]
+
+
+def test_every_reply_is_dated_now_in_gmt(port):
+    for data, status in REPLIES_BY_STATUS:
+        before = time.time()
+        got, headers, _, _ = ask(port, data)
+        after = time.time()
+        assert got == status
+        date = email.utils.parsedate_to_datetime(headers["date"])
+        assert headers["date"].endswith(" GMT")
+        assert date.tzinfo == datetime.timezone.utc, headers["date"]
+        # The date is the reply's second, cut to a whole second.
+        assert int(before) <= date.timestamp() <= after, headers["date"]
+
+
+def test_date_is_the_imf_fixdate_of_the_email_package():
+    # Every weekday and month, a leap day and the epoch.
+    start = datetime.datetime(2024, 1, 1, tzinfo=datetime.timezone.utc)
+    times = [0, 951782400] + [
+        (start + datetime.timedelta(days=day, seconds=37 * day)).timestamp()
+        for day in range(0, 400, 3)]
+    for seconds in times:
+        assert service._imf_fixdate(seconds) == \
+            email.utils.formatdate(seconds, usegmt=True)
+
+
+def test_server_process_loads_no_http_server_or_ssl():
+    """`asrspell serve` runs on socketserver and the module's own
+    framing; only an https:// RemoteBackend imports ssl."""
+    code = ("import sys, asrspell.cli; print(*(name for name in "
+            "('ssl', 'http.server', 'http.client', 'email') "
+            "if name in sys.modules))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_framing_checks_hold_under_python_O():
