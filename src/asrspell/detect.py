@@ -42,9 +42,6 @@ class Transcript:
     tokens: list[str]
     spans: list[tuple[int, int]]  # character range of each token in raw
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     def context(self, position: int, window: int) -> tuple[str, ...]:
         """The at most `window` tokens directly before `position`, in
         textual order."""

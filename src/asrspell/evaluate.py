@@ -14,48 +14,24 @@ _FIELDS = ("total_words", "total_errors", "nonword_errors", "realword_errors",
 @dataclass
 class EvaluationReport:
     total_words: int
-    total_errors: int
     nonword_errors: int
     realword_errors: int
-    corrected: int
     corrected_nonword: int
     corrected_realword: int
-    residual_error_rate: float
 
-    @classmethod
-    def from_counts(cls, total_words: int, nonword_errors: int,
-                    realword_errors: int, corrected_nonword: int,
-                    corrected_realword: int) -> "EvaluationReport":
-        total_errors = nonword_errors + realword_errors
-        corrected = corrected_nonword + corrected_realword
-        residual = ((total_errors - corrected) / total_words
-                    if total_words else 0.0)
-        return cls(total_words=total_words, total_errors=total_errors,
-                   nonword_errors=nonword_errors,
-                   realword_errors=realword_errors, corrected=corrected,
-                   corrected_nonword=corrected_nonword,
-                   corrected_realword=corrected_realword,
-                   residual_error_rate=residual)
+    @property
+    def total_errors(self) -> int:
+        return self.nonword_errors + self.realword_errors
 
-    def check(self) -> None:
-        """Cross-field identities; raises ValueError when violated."""
-        if self.total_errors != self.nonword_errors + self.realword_errors:
-            raise ValueError(
-                f"total_errors {self.total_errors} != nonword_errors "
-                f"{self.nonword_errors} + realword_errors "
-                f"{self.realword_errors}")
-        if self.corrected != self.corrected_nonword + self.corrected_realword:
-            raise ValueError(
-                f"corrected {self.corrected} != corrected_nonword "
-                f"{self.corrected_nonword} + corrected_realword "
-                f"{self.corrected_realword}")
-        if self.total_words:
-            expected = (self.total_errors - self.corrected) / self.total_words
-            if not abs(self.residual_error_rate - expected) < 1e-12:  # NaN too
-                raise ValueError(
-                    f"residual_error_rate {self.residual_error_rate!r} != "
-                    f"(total_errors - corrected) / total_words = "
-                    f"{expected!r}")
+    @property
+    def corrected(self) -> int:
+        return self.corrected_nonword + self.corrected_realword
+
+    @property
+    def residual_error_rate(self) -> float:
+        if not self.total_words:
+            return 0.0
+        return (self.total_errors - self.corrected) / self.total_words
 
     def to_tsv(self) -> str:
         lines = []
@@ -106,6 +82,6 @@ def evaluate(reference: str, corrupted: str, corrected: str,
             counts[kind][1] += 1
     nw, nw_fixed = counts[CorruptionKind.NONWORD]
     rw, rw_fixed = counts[CorruptionKind.REALWORD]
-    return EvaluationReport.from_counts(
+    return EvaluationReport(
         total_words=len(ref), nonword_errors=nw, realword_errors=rw,
         corrected_nonword=nw_fixed, corrected_realword=rw_fixed)

@@ -65,6 +65,7 @@ import sys
 import threading
 import time
 import urllib.parse
+import weakref
 from typing import Sequence
 
 from asrspell.backend import BackendError
@@ -101,7 +102,7 @@ def serve(index: NgramIndex, bind_address: str = "127.0.0.1",
     handler = _make_handler(index)
     try:
         return _Server((bind_address, port), handler)
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:  # Overflow: port out of range
         raise OSError(
             f"cannot bind lookup service to {bind_address}:{port}: {exc}"
         ) from exc
@@ -447,15 +448,26 @@ def _read_reply(rfile) -> tuple[int, bytes, bool]:
 
 
 class _Connection:
-    """A client socket and the buffered reader its replies come from."""
+    """A client socket and the buffered reader its replies come from.
+
+    Both close on close(), or when the connection is dropped: a thread's
+    connection is dropped when the thread ends or its backend goes away.
+    """
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.rfile = sock.makefile("rb")
+        self.close = weakref.finalize(self, _close_quietly, self.rfile, sock)
 
-    def close(self) -> None:
-        self.rfile.close()
-        self.sock.close()
+
+def _close_quietly(*files) -> None:
+    """Close each of `files`. Never raises: as a finalizer it runs where
+    an exception would only be printed."""
+    for f in files:
+        try:
+            f.close()
+        except Exception:
+            pass
 
 
 def _digits(text: str) -> bool:
@@ -639,7 +651,8 @@ class RemoteBackend:
 
     def close(self) -> None:
         """Close the calling thread's connection; its next lookup opens a
-        new one. Other threads' connections close when their threads end."""
+        new one. Other threads' connections close when their threads end
+        or the backend goes away."""
         conn = getattr(self._local, "conn", None)
         if conn is not None:
             self._local.conn = None

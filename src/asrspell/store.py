@@ -113,14 +113,13 @@ class NgramIndex:
     ids of :func:`_vocabulary`) to its count.
     """
 
-    def __init__(self, tables: list[dict], corpus_id: str,
-                 token_count: int):
+    def __init__(self, tables: list[dict], corpus_id: str):
         if not 1 <= len(tables) <= MAX_ORDER:
             raise ValueError(f"max_order must be in 1..{MAX_ORDER}, "
                              f"got {len(tables)}")
         self._tables = tables
         self._corpus_id = corpus_id
-        self._token_count = token_count
+        self._token_count = sum(tables[0].values())
         # Words are sorted, so ascending ids double as lexicographic order.
         self._word_id, self._bits = _vocabulary(tables[0])
         self._words: list[str] = list(self._word_id)
@@ -352,7 +351,7 @@ def build_index(corpus: str | Iterable[str], max_order: int = MAX_ORDER,
             table.update(keys)
     # The Counters go in as they are: copying them to plain dicts would
     # briefly hold every table twice.
-    return NgramIndex(tables, corpus_id, sum(map(len, lines)))
+    return NgramIndex(tables, corpus_id)
 
 
 def save_index(index: NgramIndex, path: str | os.PathLike) -> None:
@@ -441,10 +440,11 @@ def load_index(path: str | os.PathLike) -> NgramIndex:
         raise IndexFormatError(
             f"{root / MANIFEST_FILE}: distinct_unigrams is "
             f"{manifest.distinct_unigrams} but 1gram.tsv has {len(unigrams)}")
-    if sum(unigrams.values()) != manifest.token_count:
+    token_count = sum(unigrams.values())
+    if token_count != manifest.token_count:
         raise IndexFormatError(
             f"{root / MANIFEST_FILE}: token_count is {manifest.token_count} "
-            f"but unigram counts sum to {sum(unigrams.values())}")
+            f"but unigram counts sum to {token_count}")
     word_id, bits = _vocabulary(unigrams)
     tables: list[dict] = [unigrams]
     from_sidecar, from_tsv = [], [1]
@@ -466,7 +466,7 @@ def load_index(path: str | os.PathLike) -> NgramIndex:
         else:
             from_sidecar.append(k)
         tables.append(table)
-    index = NgramIndex(tables, manifest.corpus_id, manifest.token_count)
+    index = NgramIndex(tables, manifest.corpus_id)
     log.info("loaded index %s in %.2f s: orders %s from sidecars, %s from "
              "TSV", root, time.perf_counter() - start,
              from_sidecar or "none", from_tsv)

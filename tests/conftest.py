@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 from asrspell import build_index
@@ -26,15 +24,3 @@ def worked_index(worked_corpus_lines):
 def tiny_index():
     return build_index("the cat sat\nthe cat ran", corpus_id="tiny")
 
-
-def pytest_collection_modifyitems(items):
-    # A socket or file left to the garbage collector fails the test that
-    # leaked it. These are marks on this directory's tests rather than
-    # pyproject.toml settings, which would also govern perfbench/.
-    here = Path(__file__).parent
-    for item in items:
-        if here in item.path.parents:
-            item.add_marker(pytest.mark.filterwarnings(
-                "error::ResourceWarning"))
-            item.add_marker(pytest.mark.filterwarnings(
-                "error::pytest.PytestUnraisableExceptionWarning"))

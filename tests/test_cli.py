@@ -142,6 +142,15 @@ def test_version_exits_0(capsys):
     assert main(["--version"]) == 0
 
 
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_port_out_of_range_exits_2(index_dir, capsys, port):
+    assert main(["serve", "--index", str(index_dir), "--port", port]) == 2
+    err = capsys.readouterr().err
+    assert (f"asrspell: cannot bind lookup service to 127.0.0.1:{port}: "
+            in err)
+    assert "Traceback" not in err
+
+
 def _free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))

@@ -173,9 +173,10 @@ class TestSelectCorrection:
                               PipelineConfig(backoff_enabled=False))
 
 
-def unpruned_select(prefix, words, backend, config):
-    """Reference: select_correction counting every word at every order,
-    without the context-count bound."""
+def order_by_order_select(prefix, words, backend, config):
+    """Reference: select_correction with one ngram_count call per order,
+    from the longest down, stopping at the first order where some word
+    is attested."""
     full_order = len(prefix) + 1
     orders = (range(full_order, 0, -1) if config.backoff_enabled
               else [full_order])
@@ -230,15 +231,16 @@ def synth_selection(synth_texts):
     return index, selections
 
 
-class TestSelectionContextBound:
+class TestSelectionFromOneBatch:
     @pytest.mark.parametrize("backoff", [True, False])
-    def test_matches_unpruned_reference(self, synth_selection, backoff):
+    def test_matches_order_by_order_reference(self, synth_selection,
+                                              backoff):
         index, selections = synth_selection
         config = PipelineConfig(backoff_enabled=backoff)
         orders = set()
         for prefix, words in selections:
             got = select(prefix, words, index, config)
-            assert got == unpruned_select(prefix, words, index, config)
+            assert got == order_by_order_select(prefix, words, index, config)
             orders.add(got.backoff_order)
         assert len(orders) >= 3  # backoff really happens
 

@@ -1,5 +1,6 @@
 import datetime
 import email.utils
+import gc
 import http.client
 import http.server
 import logging
@@ -16,6 +17,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import warnings
 from pathlib import Path
 
 import pytest
@@ -217,6 +219,14 @@ def test_bind_failure_names_address(server, worked_index):
         serve(worked_index, bind_address=host, port=port)
 
 
+@pytest.mark.parametrize("port", [70000, -1])
+def test_port_out_of_range_is_a_bind_failure(worked_index, port):
+    with pytest.raises(OSError) as info:
+        serve(worked_index, port=port)
+    assert str(info.value).startswith(
+        f"cannot bind lookup service to 127.0.0.1:{port}: ")
+
+
 class _Server:
     """serve() on a background thread that records every accepted socket,
     so a test can count connections or drop them as a restart would."""
@@ -353,7 +363,32 @@ class TestCandidatesEndpoint:
         assert fetch_error(f"{base_url}/v1/candidates?b=sh&k=8")[0] == 404
 
 
+def resource_warnings(action):
+    """The ResourceWarnings raised while `action` runs and the garbage
+    collector then runs."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        action()
+        gc.collect()
+    return [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 class TestConnections:
+    def test_connection_closes_when_its_thread_ends(self, counted, fresh):
+        def use_in_a_thread():
+            worker = threading.Thread(target=fresh.manifest)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+
+        assert resource_warnings(use_in_a_thread) == []
+        assert len(counted.accepted) == 1
+
+    def test_connection_closes_when_its_backend_goes_away(self, counted):
+        backends = [RemoteBackend(counted.url)]
+        backends[0].manifest()
+        assert resource_warnings(backends.clear) == []
+
     def test_lookups_share_one_connection(self, counted, fresh,
                                           worked_index):
         for _ in range(20):

@@ -326,9 +326,38 @@ class TestPersistence:
     def test_duplicate_key_rejected(self, tiny_index, tmp_path):
         save_index(tiny_index, tmp_path / "idx")
         path = tmp_path / "idx" / "2gram.tsv"
-        path.write_text("a b\t1\na b\t2\n", encoding="utf-8")
-        with pytest.raises(IndexFormatError, match="duplicate"):
+        path.write_text("the cat\t1\nthe cat\t2\n", encoding="utf-8")
+        with pytest.raises(IndexFormatError) as info:
             load_index(tmp_path / "idx")
+        assert str(info.value) == f"{path}:2: duplicate key 'the cat'"
+
+    @pytest.mark.parametrize("name,old,new,where,message", [
+        ("1gram.tsv", "cat\t2\n", "cat\t2\n\n", ":2", "blank line"),
+        (MANIFEST_FILE, "max_order\t5", "max_order 5", ":2",
+         "expected key<TAB>value, got 'max_order 5'"),
+        (MANIFEST_FILE, "token_count\t6\n", "", "",
+         "missing keys ['token_count']"),
+        (MANIFEST_FILE, "token_count\t6", "token_count\tsix", "",
+         "non-integer manifest field: invalid literal for int() with "
+         "base 10: 'six'"),
+        (MANIFEST_FILE, "max_order\t5", "max_order\t6", "",
+         "max_order 6 outside 1..5"),
+        (MANIFEST_FILE, "max_order\t5", "max_order\t0", "",
+         "max_order 0 outside 1..5"),
+        (MANIFEST_FILE, "distinct_unigrams\t4", "distinct_unigrams\t5", "",
+         "distinct_unigrams is 5 but 1gram.tsv has 4"),
+    ])
+    def test_corrupt_index_names_file_and_line(self, tiny_index, tmp_path,
+                                                name, old, new, where,
+                                                message):
+        save_index(tiny_index, tmp_path / "idx")
+        path = tmp_path / "idx" / name
+        text = path.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        with pytest.raises(IndexFormatError) as info:
+            load_index(tmp_path / "idx")
+        assert str(info.value) == f"{path}{where}: {message}"
 
     def test_unknown_token_rejected(self, tiny_index, tmp_path):
         save_index(tiny_index, tmp_path / "idx")
