@@ -2,12 +2,15 @@
 
 An error word is decomposed into its distinct adjacent character pairs;
 every vocabulary word containing at least one of those pairs is scored by
-how many distinct pairs it shares, and the top k (default 8) survive.
+how many distinct pairs it shares, and the top k survive.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
+
+# How many candidates each error keeps.
+TOP_K = 8
 
 
 def char_bigrams(token: str) -> list[str]:
@@ -33,7 +36,8 @@ class Candidate:
         return (-self.shared, -self.unigram_count, self.word)
 
 
-def generate_candidates(error: str, backend, k: int = 8) -> list[Candidate]:
+def generate_candidates(error: str, backend,
+                        k: int = TOP_K) -> list[Candidate]:
     """Top-k correction candidates for `error`, ranked by shared bigram
     count, then corpus frequency, then word.
 

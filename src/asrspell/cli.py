@@ -47,11 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     backend.add_argument("--backend", metavar="URL")
     p.add_argument("--in", dest="infile", required=True, metavar="PATH")
     p.add_argument("--out", required=True, metavar="PATH")
-    p.add_argument("--top-k", type=int, default=8)
-    p.add_argument("--context", type=int, default=4)
     p.add_argument("--realword", choices=("on", "off"), default="off")
     p.add_argument("--margin", type=float, default=10.0)
-    p.add_argument("--no-backoff", action="store_true")
 
     p = sub.add_parser("inject",
                        help="corrupt a text with seeded synthetic errors")
@@ -116,15 +113,8 @@ def cmd_correct(args) -> int:
 
 
 def _correct(args, backend) -> int:
-    config = PipelineConfig(
-        top_k=args.top_k,
-        # correct_transcript limits the window to what the backend can
-        # answer; a window above any index's is limited here.
-        context_window=min(args.context, MAX_ORDER - 1),
-        realword_enabled=args.realword == "on",
-        realword_margin=args.margin,
-        backoff_enabled=not args.no_backoff,
-    )
+    config = PipelineConfig(realword_enabled=args.realword == "on",
+                            realword_margin=args.margin)
     text = Path(args.infile).read_text(encoding="utf-8")
     result = correct_transcript(text, backend, config)
     Path(args.out).write_text(result.corrected_text, encoding="utf-8")

@@ -1,18 +1,19 @@
 """Context-sensitive correction: pick each error's best candidate by the
-count of the candidate preceded by up to four context words, backing off
-to shorter contexts when every count is zero.
+count of the candidate preceded by as many context words as the index
+order allows (four in a 5-gram index), backing off to shorter contexts
+when every count is zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from asrspell.candidates import TOP_K, Candidate
 # generate_candidates is not called here; it stays importable from this
 # module for the callers that look it up by this name.
-from asrspell.candidates import Candidate, generate_candidates  # noqa: F401
+from asrspell.candidates import generate_candidates  # noqa: F401
 from asrspell.detect import (DetectedError, ErrorKind, detect_nonword_errors,
                              detect_realword_suspects, splice, tokenize)
-from asrspell.store import MAX_ORDER
 
 
 @dataclass
@@ -26,18 +27,10 @@ class CorrectionDecision:
 
 @dataclass
 class PipelineConfig:
-    top_k: int = 8
-    context_window: int = 4
     realword_enabled: bool = False
     realword_margin: float = 10.0
-    backoff_enabled: bool = True
 
     def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if not 0 <= self.context_window < MAX_ORDER:
-            raise ValueError(f"context_window must be in 0..{MAX_ORDER - 1}, "
-                             f"got {self.context_window}")
         if not self.realword_margin >= 1:  # NaN too
             raise ValueError(f"realword_margin must be >= 1, "
                              f"got {self.realword_margin}")
@@ -49,51 +42,45 @@ class CorrectionResult:
     decisions: list[CorrectionDecision] = field(default_factory=list)
 
 
-def _orders(prefix: Sequence[str], words: Sequence[str],
-            config: PipelineConfig) -> range | list[int]:
+def _orders(prefix: Sequence[str], words: Sequence[str]) -> range:
     """The orders selection may try, highest first."""
     if not words:
         raise ValueError("words must be non-empty")
-    full_order = len(prefix) + 1
-    return range(full_order, 0, -1) if config.backoff_enabled else [full_order]
+    return range(len(prefix) + 1, 0, -1)
 
 
-def selection_queries(prefix: Sequence[str], words: Sequence[str],
-                      config: PipelineConfig | None = None
+def selection_queries(prefix: Sequence[str], words: Sequence[str]
                       ) -> list[tuple[str, ...]]:
     """The ``ngram_count`` queries whose counts :func:`select_correction`
-    reads: every word after `prefix` at every order that may be tried,
-    highest order first, in word order within an order.
+    reads: every word after `prefix` at every order from the full one
+    down to 1, in word order within an order.
 
     No context needs counting first: every occurrence of ``context +
     word`` is an occurrence of ``context``, so a query whose context
     never occurs already counts 0.
     """
-    orders = _orders(prefix, words, config or PipelineConfig())
+    orders = _orders(prefix, words)
     whole = [(*prefix, word) for word in words]
     # tokens[-order:] keeps the whole query when order exceeds its own.
     return [tokens[-order:] for order in orders for tokens in whole]
 
 
 def select_correction(prefix: Sequence[str], words: Sequence[str],
-                      counts: Sequence[int],
-                      config: PipelineConfig | None = None
-                      ) -> CorrectionDecision:
+                      counts: Sequence[int]) -> CorrectionDecision:
     """Pick the word with the highest count after `prefix`, backing off one
     order at a time (dropping the oldest prefix token) while every count
     is zero.
 
-    `counts` are those of ``selection_queries(prefix, words, config)``, in
-    that order; the orders are walked top-down over them, exactly as if
-    each were counted in turn.
+    `counts` are those of ``selection_queries(prefix, words)``, in that
+    order; the orders are walked top-down over them, exactly as if each
+    were counted in turn.
 
     Ties break by word position, i.e. candidate rank. `chosen` is None
-    only when no order produced a nonzero count -- with backoff enabled
-    that cannot happen for in-vocabulary candidates, because order 1 is
-    the candidate's own unigram count.
+    only when no order produced a nonzero count, which cannot happen for
+    in-vocabulary candidates, because order 1 is the candidate's own
+    unigram count.
     """
-    config = config or PipelineConfig()
-    orders = _orders(prefix, words, config)
+    orders = _orders(prefix, words)
     n = len(words)
     if len(counts) != n * len(orders):
         raise ValueError(f"{len(counts)} counts for {n} words at "
@@ -101,7 +88,7 @@ def select_correction(prefix: Sequence[str], words: Sequence[str],
     for at, order in enumerate(orders):
         row = counts[at * n:(at + 1) * n]
         best = max(row)
-        if best > 0 or order == orders[-1]:
+        if best > 0 or order == 1:
             break
     return CorrectionDecision(
         chosen=words[row.index(best)] if best > 0 else None,
@@ -118,28 +105,27 @@ def correct_transcript(text: str, backend,
     outcome does not depend on correction order; run the function a second
     time explicitly if cascaded corrections are wanted. Errors with no
     usable candidates are reported with chosen=None and left verbatim.
-    The context window is limited to ``backend.max_order - 1`` tokens, so
-    a lower-order index gives what a run with that window gives.
+    The context window is ``backend.max_order - 1`` tokens, so a shorter
+    context comes from an index of lower order.
 
     The candidates of every error come from one ``rank_by_shared_bigrams``
     call, and the selection counts of every error from one
     ``ngram_count`` call, each error reading its own slice of them.
     """
     config = config or PipelineConfig()
-    window = min(config.context_window, backend.max_order - 1)
+    window = backend.max_order - 1
     transcript = tokenize(text)
     errors = detect_nonword_errors(transcript, backend)
     if config.realword_enabled:
         errors = sorted(
             errors + detect_realword_suspects(
                 transcript, backend, margin=config.realword_margin,
-                window=window, k=config.top_k),
+                window=window),
             key=lambda e: e.position)
     if not errors:
         return CorrectionResult(corrected_text=text)
 
-    ranked = backend.rank_by_shared_bigrams([e.token for e in errors],
-                                            config.top_k)
+    ranked = backend.rank_by_shared_bigrams([e.token for e in errors], TOP_K)
     # Per error: its context, the words selection weighs and the bounds of
     # its slice of the selection counts.
     plans = []
@@ -153,7 +139,7 @@ def correct_transcript(text: str, backend,
             words.insert(0, error.token)
         start = len(batch)
         if words:
-            batch += selection_queries(prefix, words, config)
+            batch += selection_queries(prefix, words)
         plans.append((error, candidates, prefix, words, start, len(batch)))
     counts = backend.ngram_count(batch) if batch else []
 
@@ -161,8 +147,7 @@ def correct_transcript(text: str, backend,
     replacements: list[tuple[int, str]] = []
     for error, candidates, prefix, words, start, stop in plans:
         if words:
-            decision = select_correction(prefix, words, counts[start:stop],
-                                         config)
+            decision = select_correction(prefix, words, counts[start:stop])
         else:
             decision = CorrectionDecision(chosen=None, scores={},
                                           backoff_order=1)

@@ -160,9 +160,13 @@ def load_ground_truth(path: str | os.PathLike) -> list[CorruptionRecord]:
                     f"{Path(path)}:{lineno}: expected 4 tab-separated fields")
             position, original, corrupted, kind = parts
             try:
-                records.append(CorruptionRecord(
+                record = CorruptionRecord(
                     position=int(position), original=original,
-                    corrupted=corrupted, kind=CorruptionKind(kind)))
+                    corrupted=corrupted, kind=CorruptionKind(kind))
             except ValueError as exc:
                 raise ValueError(f"{Path(path)}:{lineno}: {exc}") from None
+            if record.position < 0:
+                raise ValueError(f"{Path(path)}:{lineno}: negative position "
+                                 f"{record.position}")
+            records.append(record)
     return records

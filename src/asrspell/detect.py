@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
+from asrspell.candidates import TOP_K
 # generate_candidates is not called here; it stays importable from this
 # module for the callers that look it up by this name.
 from asrspell.candidates import generate_candidates  # noqa: F401
@@ -116,7 +117,7 @@ def detect_nonword_errors(transcript: Transcript, backend) -> list[DetectedError
 
 def detect_realword_suspects(transcript: Transcript, backend,
                              margin: float = 10.0, window: int = 4,
-                             k: int = 8) -> list[DetectedError]:
+                             k: int = TOP_K) -> list[DetectedError]:
     """Context-margin detection of valid-but-wrong words.
 
     For each in-vocabulary token, the token and its candidate corrections

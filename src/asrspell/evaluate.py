@@ -56,7 +56,8 @@ def evaluate(reference: str, corrupted: str, corrected: str,
     A position is an error iff the corrupted token differs from the
     reference token there; it counts as corrected iff the corrected token
     matches the reference. Non-word/real-word classification comes from
-    the injection ground truth, which must cover every error position.
+    the injection ground truth, which must cover every error position and
+    name no position outside the text.
     All three texts must tokenize to the same number of tokens (the
     simulator never splits or merges).
     """
@@ -67,6 +68,10 @@ def evaluate(reference: str, corrupted: str, corrected: str,
         raise ValueError(
             f"token counts differ: reference={len(ref)}, "
             f"corrupted={len(cor)}, corrected={len(fix)}")
+    for r in records:
+        if not 0 <= r.position < len(ref):
+            raise ValueError(f"ground truth position {r.position} is outside "
+                             f"the {len(ref)} tokens of the text")
     kinds = {r.position: r.kind for r in records}
     counts = {CorruptionKind.NONWORD: [0, 0], CorruptionKind.REALWORD: [0, 0]}
     for i, (r, c, f) in enumerate(zip(ref, cor, fix)):

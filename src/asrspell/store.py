@@ -542,7 +542,11 @@ def _read_manifest(path: Path) -> IndexManifest:
             if len(parts) != 2:
                 raise IndexFormatError(
                     f"{path}:{lineno}: expected key<TAB>value, got {line!r}")
-            values[parts[0]] = parts[1]
+            key, value = parts
+            if key in values or key not in _MANIFEST_KEYS:
+                why = "duplicate" if key in values else "unknown"
+                raise IndexFormatError(f"{path}:{lineno}: {why} key {key!r}")
+            values[key] = value
     missing = [k for k in _MANIFEST_KEYS if k not in values]
     if missing:
         raise IndexFormatError(f"{path}: missing keys {missing}")

@@ -75,6 +75,37 @@ def test_correct_worked_example(tmp_path, index_dir, capsys):
         ("5", "shaws", "nonword", "shows", "5")
 
 
+def test_correct_takes_its_window_from_the_index(tmp_path, corpus_file,
+                                                 capsys):
+    trigrams = tmp_path / "trigrams"
+    assert main(["build-index", "--corpus", str(corpus_file),
+                 "--out", str(trigrams), "--max-order", "3"]) == 0
+    src = tmp_path / "asr.txt"
+    src.write_text(f"{WORKED_ERROR_TEXT}\nshaws and more qqqq",
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert main(["correct", "--index", str(trigrams), "--in", str(src),
+                 "--out", str(tmp_path / "out.txt")]) == 0
+    orders = [int(line.split("\t")[4])
+              for line in capsys.readouterr().out.splitlines()]
+    assert len(orders) == 3
+    assert max(orders) == 3
+
+
+@pytest.mark.parametrize("option", [["--context", "2"], ["--top-k", "8"],
+                                    ["--no-backoff"]])
+def test_removed_correct_options_exit_1(tmp_path, index_dir, capsys,
+                                        option):
+    src = tmp_path / "asr.txt"
+    src.write_text(WORKED_ERROR_TEXT, encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert main(["correct", "--index", str(index_dir), "--in", str(src),
+                 "--out", str(out), *option]) == 1
+    assert f"unrecognized arguments: {' '.join(option)}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inject_correct_evaluate_loop(tmp_path, index_dir, capsys):
     reference = tmp_path / "ref.txt"
     reference.write_text("\n".join([WORKED_SENTENCE] * 10), encoding="utf-8")

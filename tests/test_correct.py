@@ -13,16 +13,17 @@ from asrspell.detect import ErrorKind, _exempt
 from tests._synth import passage_of, synth_corpus
 from tests.conftest import WORKED_ERROR_TEXT, WORKED_SENTENCE
 from tests.test_detect import CountingBackend
+from tests.test_oracle import Oracle, pipeline_decisions
 from tests.test_service import _Server
 
 CORRECTED = WORKED_SENTENCE  # what the error text must become
 
 
-def select(prefix, words, backend, config=None):
+def select(prefix, words, backend):
     """select_correction over the counts it reads, from one ngram_count
     call to `backend`."""
-    counts = backend.ngram_count(selection_queries(prefix, words, config))
-    return select_correction(prefix, words, counts, config)
+    counts = backend.ngram_count(selection_queries(prefix, words))
+    return select_correction(prefix, words, counts)
 
 
 def words_of(candidates):
@@ -30,12 +31,6 @@ def words_of(candidates):
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(top_k=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(context_window=5)
-    with pytest.raises(ValueError):
-        PipelineConfig(context_window=-1)
     # NaN compares false with everything: as a margin it would flag no
     # token at all.
     for margin in [math.nan, 0.5]:
@@ -139,17 +134,6 @@ class TestSelectCorrection:
         assert decision.backoff_order == 3
         assert decision.scores["shows"] == (3, 3)
 
-    def test_no_backoff_gives_nothing_on_sparse_context(self):
-        corpus = ["your favorite shows", "watch", "episodes", "of", "and",
-                  "more", "haws"]
-        index = build_index(corpus)
-        transcript = tokenize(WORKED_ERROR_TEXT)
-        words = words_of(generate_candidates("shaws", index, k=8))
-        decision = select(transcript.context(5, 4), words, index,
-                          PipelineConfig(backoff_enabled=False))
-        assert decision.chosen is None
-        assert decision.backoff_order == 5
-
     def test_tie_breaks_by_candidate_rank(self, worked_index):
         decision = select((), ["haws", "maws"], worked_index)
         assert decision.chosen == "haws"  # both count 1, first rank wins
@@ -168,20 +152,14 @@ class TestSelectCorrection:
         for wrong in [counts[:-1], counts + [0], counts[:2]]:
             with pytest.raises(ValueError, match="counts for 2 words"):
                 select_correction(prefix, words, wrong)
-        with pytest.raises(ValueError, match="counts for 2 words"):
-            select_correction(prefix, words, counts,
-                              PipelineConfig(backoff_enabled=False))
 
 
-def order_by_order_select(prefix, words, backend, config):
+def order_by_order_select(prefix, words, backend):
     """Reference: select_correction with one ngram_count call per order,
     from the longest down, stopping at the first order where some word
     is attested."""
-    full_order = len(prefix) + 1
-    orders = (range(full_order, 0, -1) if config.backoff_enabled
-              else [full_order])
     scores = {}
-    for order in orders:
+    for order in range(len(prefix) + 1, 0, -1):
         counts = backend.ngram_count([query_tokens(prefix, w, order)
                                       for w in words])
         scores = {w: (order, c) for w, c in zip(words, counts)}
@@ -189,15 +167,19 @@ def order_by_order_select(prefix, words, backend, config):
             return CorrectionDecision(
                 chosen=words[counts.index(max(counts))],
                 scores=scores, backoff_order=order)
-    return CorrectionDecision(chosen=None, scores=scores,
-                              backoff_order=orders[-1])
+    return CorrectionDecision(chosen=None, scores=scores, backoff_order=1)
 
 
 @pytest.fixture(scope="module")
-def synth_texts():
+def synth_select_corpus():
+    return synth_corpus(8000, seed=21)
+
+
+@pytest.fixture(scope="module")
+def synth_texts(synth_select_corpus):
     """A seeded synthetic index and transcripts with non-word errors, cut
     from it and from fresh text."""
-    corpus = synth_corpus(8000, seed=21)
+    corpus = synth_select_corpus
     index = build_index(corpus, corpus_id="synth-select")
     fresh = synth_corpus(3000, seed=22)
     texts = []
@@ -232,15 +214,12 @@ def synth_selection(synth_texts):
 
 
 class TestSelectionFromOneBatch:
-    @pytest.mark.parametrize("backoff", [True, False])
-    def test_matches_order_by_order_reference(self, synth_selection,
-                                              backoff):
+    def test_matches_order_by_order_reference(self, synth_selection):
         index, selections = synth_selection
-        config = PipelineConfig(backoff_enabled=backoff)
         orders = set()
         for prefix, words in selections:
-            got = select(prefix, words, index, config)
-            assert got == order_by_order_select(prefix, words, index, config)
+            got = select(prefix, words, index)
+            assert got == order_by_order_select(prefix, words, index)
             orders.add(got.backoff_order)
         assert len(orders) >= 3  # backoff really happens
 
@@ -248,11 +227,6 @@ class TestSelectionFromOneBatch:
         # "zebra of your favorite" never occurs; "of your favorite" does.
         words = words_of(generate_candidates("shaws", worked_index, k=8))
         prefix = ("zebra", "of", "your", "favorite")
-        backend = CountingBackend(worked_index)
-        decision = select(prefix, words, backend,
-                          PipelineConfig(backoff_enabled=False))
-        assert decision.chosen is None
-        assert (backend.calls["ngram_count"], backend.queries) == (1, 8)
         backend = CountingBackend(worked_index)
         decision = select(prefix, words, backend)
         assert (decision.chosen, decision.backoff_order) == ("shows", 4)
@@ -275,19 +249,21 @@ class TestSelectionFromOneBatch:
 
 
 class TestLookupCalls:
-    @pytest.mark.parametrize("window", [0, 2, 4])
-    def test_call_budget(self, synth_texts, window):
+    @pytest.mark.parametrize("max_order", [1, 3, 5])
+    def test_call_budget(self, synth_select_corpus, synth_texts, max_order):
         # However many errors: one ngram_count call for non-word detection
         # when some token is checked, one ranking when there is an error,
         # and one ngram_count call for selection when some error has
         # candidates, however far each backs off.
-        index, texts = synth_texts
-        config = PipelineConfig(context_window=window)
+        _, texts = synth_texts
+        index = build_index(synth_select_corpus, max_order=max_order)
         errors = []
         for text in texts:
             backend = CountingBackend(index)
-            result = correct_transcript(text, backend, config)
-            assert result == correct_transcript(text, index, config)
+            result = correct_transcript(text, backend)
+            assert result == correct_transcript(text, index)
+            assert all(d.backoff_order <= max_order
+                       for d in result.decisions)
             checked = any(not _exempt(t) for t in tokenize(text).tokens)
             found = len(result.decisions)
             with_candidates = any(d.candidates for d in result.decisions)
@@ -384,10 +360,13 @@ class TestCorrectTranscript:
         assert all(d.chosen is None for d in result.decisions)
 
     def test_capital_preserved(self, worked_index):
-        result = correct_transcript("Shaws and more", worked_index)
-        assert result.corrected_text.split()[0][0] == "S"
-        assert result.corrected_text.split()[0].lower() == \
-            result.decisions[0].chosen
+        # Decided by the full 5-gram context: shows 7, haws 0.
+        result = correct_transcript(
+            "Watch episodes of your favorite Shaws and more", worked_index)
+        assert result.corrected_text == \
+            "Watch episodes of your favorite Shows and more"
+        [decision] = result.decisions
+        assert decision.backoff_order == 5
 
     def test_punctuation_preserved(self, worked_index):
         text = "watch episodes of your favorite shaws, and more..."
@@ -494,7 +473,7 @@ class TestRealwordCorrection:
                 if d.error.kind is not ErrorKind.REALWORD_SUSPECT:
                     continue
                 prefix = transcript.context(d.error.position,
-                                            config.context_window)
+                                            index.max_order - 1)
                 order = len(prefix) + 1
                 assert d.backoff_order == order
                 words = [d.error.token, *words_of(d.candidates)]
@@ -508,8 +487,8 @@ class TestRealwordCorrection:
 @pytest.mark.parametrize("realword", [False, True])
 @pytest.mark.parametrize("over_http", [False, True])
 def test_window_limited_to_the_index_order(realword, over_http):
-    # The default window of 4 asks a 3-gram index for 5-grams; the
-    # pipeline limits it to 2 instead of raising ValueError.
+    # Over a 3-gram index the context window is 2 tokens, so no query
+    # asks for more than 3-grams.
     trigrams = build_index(REALWORD_LINES, max_order=3)
     text = ("Watch episodes of your favorite shaws and more. "
             "Watch episodes of your favorite shawls and more.")
@@ -524,10 +503,12 @@ def test_window_limited_to_the_index_order(realword, over_http):
             srv.stop()
     else:
         result = correct_transcript(text, trigrams, config)
-    assert result == correct_transcript(
-        text, trigrams, PipelineConfig(context_window=2,
-                                       realword_enabled=realword,
-                                       realword_margin=10))
+    # The non-word decisions are the oracle's over the same 3-gram index.
+    _, expected = Oracle(REALWORD_LINES, 3).correct(
+        " ".join(tokenize(text).tokens))
+    assert [d for d, decision in zip(pipeline_decisions(result),
+                                     result.decisions)
+            if decision.error.kind is ErrorKind.NONWORD] == expected
     assert result.corrected_text == (
         "Watch episodes of your favorite shows and more. "
         "Watch episodes of your favorite "

@@ -176,7 +176,8 @@ def test_ground_truth_round_trip(index, tmp_path):
 @pytest.mark.parametrize("line,reason", [
     ("x\tshows\tshaws\tnonword", "invalid literal for int()"),
     ("5\tshows\tshaws\tbogus", "'bogus' is not a valid CorruptionKind"),
-], ids=["position", "kind"])
+    ("-1\tcat\tcaat\tnonword", "negative position -1"),
+], ids=["position", "kind", "negative"])
 def test_ground_truth_errors_name_file_and_line(tmp_path, line, reason):
     path = tmp_path / "truth.tsv"
     path.write_text(f"0\tcat\tcaat\tnonword\n\n{line}\n", encoding="utf-8")

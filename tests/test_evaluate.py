@@ -78,6 +78,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="position 1"):
             evaluate("a bb c", "a bx c", "a bb c", [])
 
+    @pytest.mark.parametrize("position", [3, 7, -1])
+    def test_ground_truth_outside_the_text(self, position):
+        text = "the cat sat"
+        with pytest.raises(ValueError) as err:
+            evaluate(text, text, text, [record(position, "cat", "caat")])
+        assert str(err.value) == (f"ground truth position {position} is "
+                                  f"outside the 3 tokens of the text")
+
     def test_ten_injected_nine_fixed(self):
         # 100 tokens, 10 errors, 9 fixed -> residual 1%.
         reference = " ".join(f"w{i:02d}" for i in range(100))

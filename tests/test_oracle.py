@@ -1,9 +1,10 @@
 """End-to-end oracle: a brute-force reading of the paper's method,
 checked against ``correct_transcript`` over a local index and over HTTP.
 
-The oracle shares no code with the pipeline. It counts n-grams with a
-Counter over the corpus lines, ranks each error's candidates by scanning
-the whole vocabulary, and selects by direct lookups, backing off one
+The oracle shares no code with the pipeline. It counts n-grams up to the
+index order with a Counter over the corpus lines, ranks each error's top 8
+candidates by scanning the whole vocabulary, and selects by direct lookups
+after a context one token shorter than the index order, backing off one
 order at a time while every count is zero. Over HTTP any framing slip
 shows as a decision that differs from the oracle's.
 """
@@ -13,22 +14,24 @@ from random import Random
 
 import pytest
 
-from asrspell import (CorruptionSpec, PipelineConfig, RemoteBackend,
-                      build_index, correct_transcript, inject_errors, serve)
+from asrspell import (CorruptionSpec, RemoteBackend, build_index,
+                      correct_transcript, inject_errors, serve)
 from tests._synth import large_vocabulary, passage_of, synth_corpus
 
-MAX_ORDER = 5
+K = 8
 
 
 class Oracle:
-    """Non-word correction by brute force over `lines`, whose tokens are
-    already normalized (lower-case words, single spaces)."""
+    """Non-word correction by brute force over the n-grams of `lines` up
+    to `max_order`, whose tokens are already normalized (lower-case words,
+    single spaces)."""
 
-    def __init__(self, lines):
+    def __init__(self, lines, max_order):
+        self.window = max_order - 1
         self.counts = Counter()
         for line in lines:
             tokens = line.split()
-            for n in range(1, MAX_ORDER + 1):
+            for n in range(1, max_order + 1):
                 for i in range(len(tokens) - n + 1):
                     self.counts[tuple(tokens[i:i + n])] += 1
         self.bigrams = {gram[0]: self._bigrams(gram[0])
@@ -48,11 +51,10 @@ class Oracle:
             if word != error and own & grams)
         return [(word, -shared, -count) for shared, count, word in scored[:k]]
 
-    def select(self, prefix, words, backoff):
+    def select(self, prefix, words):
         """The chosen word, its scores and the order used: the word of the
         highest count after the longest context with a nonzero count."""
-        full = len(prefix) + 1
-        for order in (range(full, 0, -1) if backoff else [full]):
+        for order in range(len(prefix) + 1, 0, -1):
             context = tuple(prefix[len(prefix) - order + 1:])
             counts = [self.counts[(*context, word)] for word in words]
             if max(counts) > 0:
@@ -61,20 +63,19 @@ class Oracle:
         best = max(counts)
         return (words[counts.index(best)] if best else None), scores, order
 
-    def correct(self, text, config):
+    def correct(self, text):
         """The corrected text and, per out-of-vocabulary token, its
         position, token, candidates, choice, scores and order."""
         tokens = text.split()
-        window = min(config.context_window, MAX_ORDER - 1)
         out, decisions = list(tokens), []
         for i, token in enumerate(tokens):
             if (token,) in self.counts:
                 continue
-            ranked = self.candidates(token, config.top_k)
+            ranked = self.candidates(token, K)
             if ranked:
                 chosen, scores, order = self.select(
-                    tokens[max(0, i - window):i],
-                    [word for word, _, _ in ranked], config.backoff_enabled)
+                    tokens[max(0, i - self.window):i],
+                    [word for word, _, _ in ranked])
             else:
                 chosen, scores, order = None, {}, 1
             decisions.append((i, token, ranked, chosen, scores, order))
@@ -90,13 +91,14 @@ def pipeline_decisions(result):
             for d in result.decisions]
 
 
-def synth_set():
-    """The synthetic benchmark corpus, and transcripts with injected
-    non-word errors: corpus passages, whose contexts are attested, and
-    fresh text, whose contexts often are not."""
+def synth_set(max_order=5):
+    """The synthetic benchmark corpus counted up to `max_order`, and
+    transcripts with injected non-word errors: corpus passages, whose
+    contexts are attested, and fresh text, whose contexts often are
+    not."""
     corpus = synth_corpus(min_tokens=30000, seed=20260810)
     lines = corpus.splitlines()
-    index = build_index(lines, corpus_id="oracle-synth")
+    index = build_index(lines, max_order=max_order, corpus_id="oracle-synth")
     fresh = synth_corpus(min_tokens=4000, seed=7).split()
     texts = [passage_of(corpus, 400, start_line=5 * seed)
              for seed in range(1, 4)]
@@ -127,14 +129,15 @@ def large_set():
     return lines, index, transcripts
 
 
-@pytest.fixture(scope="module", params=["synth", "large"])
+@pytest.fixture(scope="module", params=["synth", "large", "synth-trigram"])
 def case(request):
-    lines, index, transcripts = {"synth": synth_set,
-                                 "large": large_set}[request.param]()
+    lines, index, transcripts = {
+        "synth": synth_set, "large": large_set,
+        "synth-trigram": lambda: synth_set(max_order=3)}[request.param]()
     for text in transcripts:
         assert text.split() == [t.lower() for t in text.split()]
         assert " ".join(text.split()) == text
-    return Oracle(lines), index, transcripts
+    return Oracle(lines, index.max_order), index, transcripts
 
 
 @pytest.fixture(scope="module")
@@ -151,29 +154,23 @@ def served(case):
     thread.join(timeout=5)
 
 
-@pytest.mark.parametrize("backoff", [True, False], ids=["backoff",
-                                                         "no-backoff"])
 @pytest.mark.parametrize("over", ["local", "http"])
-def test_pipeline_equals_the_oracle(case, served, over, backoff):
+def test_pipeline_equals_the_oracle(case, served, over):
     oracle, index, transcripts = case
     backend = index if over == "local" else served
-    config = PipelineConfig(backoff_enabled=backoff)
     errors = changed = backed_off = 0
     for text in transcripts:
-        expected_text, expected = oracle.correct(text, config)
-        result = correct_transcript(text, backend, config)
+        expected_text, expected = oracle.correct(text)
+        result = correct_transcript(text, backend)
         assert pipeline_decisions(result) == expected, text
         assert result.corrected_text == expected_text
         errors += len(expected)
         changed += sum(d[3] is not None for d in expected)
-        # The full order is the context window of 4, or the position.
-        backed_off += sum(order < min(position, 4) + 1
+        # The full order is the context window, or the position, plus 1.
+        backed_off += sum(order < min(position, oracle.window) + 1
                           for position, _, ranked, _, _, order in expected
                           if ranked)
-    # The sets exercise what they are for: many errors, and with backoff
-    # most of them corrected, some below the full order.
+    # The sets exercise what they are for: many errors, most of them
+    # corrected, some below the full order.
     assert errors >= 100
-    if backoff:
-        assert changed >= errors // 2 and backed_off > 0
-    else:
-        assert changed > 0 and backed_off == 0
+    assert changed >= errors // 2 and backed_off > 0

@@ -16,6 +16,8 @@ from asrspell import (IndexFormatError, IndexManifest, build_index,
 from asrspell import store
 from asrspell.store import MANIFEST_FILE, tokenize_line
 
+_LAST_MANIFEST_LINE = f"normalization_version\t{store.NORMALIZATION_VERSION}\n"
+
 
 def write_index_dir(root, tables, corpus_id):
     """An index directory holding `tables` (space-joined n-gram -> count,
@@ -346,6 +348,12 @@ class TestPersistence:
          "max_order 0 outside 1..5"),
         (MANIFEST_FILE, "distinct_unigrams\t4", "distinct_unigrams\t5", "",
          "distinct_unigrams is 5 but 1gram.tsv has 4"),
+        # A repeated or unknown key appended to a 5-gram index's manifest.
+        (MANIFEST_FILE, _LAST_MANIFEST_LINE,
+         _LAST_MANIFEST_LINE + "max_order\t2\n", ":6",
+         "duplicate key 'max_order'"),
+        (MANIFEST_FILE, _LAST_MANIFEST_LINE,
+         _LAST_MANIFEST_LINE + "bogus\t1\n", ":6", "unknown key 'bogus'"),
     ])
     def test_corrupt_index_names_file_and_line(self, tiny_index, tmp_path,
                                                 name, old, new, where,
