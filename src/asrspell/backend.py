@@ -32,12 +32,13 @@ class Backend(Protocol):
     order. ``unigram_exists(token)`` equals a count above 0.
 
     ``rank_by_shared_bigrams`` takes a sequence of words and returns, for
-    each, its top ``k`` vocabulary words by number of distinct character
-    bigrams shared with it, then corpus frequency, then word. The word
-    itself is never among them, and a word shorter than two characters
-    has none. ``k < 1`` is a ValueError. ``unigrams_containing_bigram``
-    is the sorted postings list of one bigram (capped at 1000 words over
-    HTTP).
+    each, its top ``TOP_K`` (8) vocabulary words by number of distinct
+    character bigrams shared with it, then corpus frequency, then word.
+    The word itself is never among them, and a word shorter than two
+    characters has none. A word that is empty or holds whitespace is a
+    ValueError (``store.check_words``), whatever the backend.
+    ``unigrams_containing_bigram`` is the sorted postings list of one
+    bigram (capped at 1000 words over HTTP).
     """
 
     @property
@@ -49,5 +50,5 @@ class Backend(Protocol):
 
     def unigrams_containing_bigram(self, bigram: str) -> list[str]: ...
 
-    def rank_by_shared_bigrams(self, words: Sequence[str], k: int
+    def rank_by_shared_bigrams(self, words: Sequence[str]
                                ) -> list[list[Candidate]]: ...

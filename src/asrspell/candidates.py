@@ -2,7 +2,7 @@
 
 An error word is decomposed into its distinct adjacent character pairs;
 every vocabulary word containing at least one of those pairs is scored by
-how many distinct pairs it shares, and the top k survive.
+how many distinct pairs it shares, and the top ``TOP_K`` survive.
 """
 from __future__ import annotations
 
@@ -36,10 +36,9 @@ class Candidate:
         return (-self.shared, -self.unigram_count, self.word)
 
 
-def generate_candidates(error: str, backend,
-                        k: int = TOP_K) -> list[Candidate]:
-    """Top-k correction candidates for `error`, ranked by shared bigram
-    count, then corpus frequency, then word.
+def generate_candidates(error: str, backend) -> list[Candidate]:
+    """The top ``TOP_K`` correction candidates for `error`, ranked by
+    shared bigram count, then corpus frequency, then word.
 
     The error word itself is never a candidate. Returns an empty list when
     no vocabulary word shares a bigram with the error (callers leave such
@@ -47,4 +46,4 @@ def generate_candidates(error: str, backend,
     in one ``rank_by_shared_bigrams`` call instead; this is the same
     ranking for one word.
     """
-    return backend.rank_by_shared_bigrams([error], k)[0]
+    return backend.rank_by_shared_bigrams([error])[0]

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from asrspell.candidates import TOP_K, Candidate
+from asrspell.candidates import Candidate
 # generate_candidates is not called here; it stays importable from this
 # module for the callers that look it up by this name.
 from asrspell.candidates import generate_candidates  # noqa: F401
@@ -119,13 +119,12 @@ def correct_transcript(text: str, backend,
     if config.realword_enabled:
         errors = sorted(
             errors + detect_realword_suspects(
-                transcript, backend, margin=config.realword_margin,
-                window=window),
+                transcript, backend, margin=config.realword_margin),
             key=lambda e: e.position)
     if not errors:
         return CorrectionResult(corrected_text=text)
 
-    ranked = backend.rank_by_shared_bigrams([e.token for e in errors], TOP_K)
+    ranked = backend.rank_by_shared_bigrams([e.token for e in errors])
     # Per error: its context, the words selection weighs and the bounds of
     # its slice of the selection counts.
     plans = []

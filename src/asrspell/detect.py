@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
-from asrspell.candidates import TOP_K
 # generate_candidates is not called here; it stays importable from this
 # module for the callers that look it up by this name.
 from asrspell.candidates import generate_candidates  # noqa: F401
@@ -116,16 +115,17 @@ def detect_nonword_errors(transcript: Transcript, backend) -> list[DetectedError
 
 
 def detect_realword_suspects(transcript: Transcript, backend,
-                             margin: float = 10.0, window: int = 4,
-                             k: int = TOP_K) -> list[DetectedError]:
+                             margin: float = 10.0) -> list[DetectedError]:
     """Context-margin detection of valid-but-wrong words.
 
     For each in-vocabulary token, the token and its candidate corrections
-    are scored by the count of (up to `window` preceding tokens + word).
-    The token is suspect iff some candidate's count reaches ``margin``
-    times the token's own (zero counts as one). Tokens with no preceding
-    context are never flagged: without context there is nothing
-    context-sensitive to compare. margin=inf disables the pass.
+    are scored by the count of (its context + word), the context being up
+    to ``backend.max_order - 1`` preceding tokens, as in selection. The
+    token is suspect iff some candidate's count reaches ``margin`` times
+    the token's own (zero counts as one). Only tokens with a context are
+    checked: without one there is nothing context-sensitive to compare,
+    so over a 1-gram index nothing is flagged. margin=inf disables the
+    pass.
 
     Candidates are generated and counted only where one could reach the
     threshold. Within a line, every occurrence of ``prefix + word`` is an
@@ -140,28 +140,28 @@ def detect_realword_suspects(transcript: Transcript, backend,
     """
     if not margin >= 1:  # NaN too
         raise ValueError(f"margin must be >= 1, got {margin}")
-    checked = [(i, transcript.context(i, window), token)
-               for i, token in enumerate(transcript.tokens)
-               if i > 0 and len(token) >= 2 and not _exempt(token)]
-    # Per token: its unigram, its own query and, unless empty, its prefix;
-    # the counts are read back in that order.
+    window = backend.max_order - 1
+    checked = [(i, prefix, token) for i, token in enumerate(transcript.tokens)
+               if len(token) >= 2 and not _exempt(token)
+               and (prefix := transcript.context(i, window))]
+    # Per token: its unigram, its own query and its prefix; the counts are
+    # read back in that order.
     queries = [query for _, prefix, token in checked
-               for query in ((token,), (*prefix, token), prefix) if query]
+               for query in ((token,), (*prefix, token), prefix)]
     counts = iter(backend.ngram_count(queries) if queries else ())
     survivors = []
     for i, prefix, token in checked:
-        unigram, own = next(counts), next(counts)
-        context = next(counts) if prefix else None
+        unigram, own, context = next(counts), next(counts), next(counts)
         if unigram == 0:
             continue  # already a NonWord error
         threshold = margin * max(own, 1)
-        if prefix and context < threshold:
+        if context < threshold:
             continue  # no candidate can occur more often than its context
         survivors.append((i, prefix, token, threshold))
     if not survivors:
         return []
     ranked = backend.rank_by_shared_bigrams(
-        [token for _, _, token, _ in survivors], k)
+        [token for _, _, token, _ in survivors])
     # Every survivor's candidates in one call, each reading its own run
     # of the counts. A threshold is at least 1, so no candidates flag
     # nothing.

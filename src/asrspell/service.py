@@ -4,12 +4,12 @@ Protocol (HTTP/1.1 with keep-alive, UTF-8, plain text bodies, no auth):
 
     POST /v1/ngram                   -> one count per line
         body: one query per line, its 1..5 tokens space-separated
-    POST /v1/candidates?k=<k>        -> one line per word: its top-k
+    POST /v1/candidates              -> one line per word: its top 8
                                         words by shared bigrams, each as
                                         word<TAB>shared<TAB>count, all
                                         tab-separated; empty when the
                                         word has none
-        body: one word per line
+        body: one word per line; no query
     GET /v1/postings?q=<2 chars>     -> newline-separated words, capped
                                         at 1000
     GET /v1/manifest                 -> manifest TSV
@@ -22,9 +22,11 @@ end of a body is optional.
 
 Malformed requests get 400 with a one-line reason; a batch is rejected
 whole, with the number of the first bad line, when any line is
-malformed. A POST without Content-Length gets 411 and one whose body is
-above MAX_BATCH_BYTES (64 KiB) gets 413; both close the connection, as
-the body is left unread. Counts are raw corpus occurrences; a zero means
+malformed. Any query on /v1/candidates gets 400 too, so a client that
+asks for other than the top 8 (k=3, say) fails loudly. A POST without
+Content-Length gets 411 and one whose body is above MAX_BATCH_BYTES
+(64 KiB) gets 413; both close the connection, as the body is left
+unread. Counts are raw corpus occurrences; a zero means
 "not seen", never "server trouble" (faults surface as HTTP errors, which
 the client raises as BackendError). The 1000-word cap applies to
 /v1/postings only: /v1/candidates ranks the whole vocabulary on the
@@ -70,15 +72,14 @@ from typing import Sequence
 
 from asrspell.backend import BackendError
 from asrspell.candidates import Candidate
-from asrspell.store import MAX_ORDER, NgramIndex, check_query
+from asrspell.store import (MAX_ORDER, NgramIndex, _digits, _number,
+                            check_query, check_words)
 
 log = logging.getLogger(__name__)
 
 POSTINGS_CAP = 1000
 IDLE_TIMEOUT_S = 30
 MAX_BATCH_BYTES = 65536
-# The largest k /v1/candidates accepts: int64, the bound of every count.
-_MAX_K = 2**63 - 1
 # Worker threads, one per open connection, that the server runs at once.
 MAX_WORKERS = 32
 # How long a refused connection may take to close after its 503.
@@ -230,7 +231,7 @@ def _imf_fixdate(seconds: float) -> str:
 
 
 def _make_handler(index: NgramIndex):
-    def ngram_batch(query: str, body: bytes) -> str:
+    def ngram_batch(query: str | None, body: bytes) -> str:
         limit = index.max_order
         queries = [line.split(" ") for line in _body_lines(body)]
         for lineno, tokens in enumerate(queries, start=1):
@@ -243,11 +244,9 @@ def _make_handler(index: NgramIndex):
                                   f"{len(tokens)} exceeds maximum {limit}")
         return "".join(f"{c}\n" for c in index.ngram_count(queries))
 
-    def candidates(query: str, body: bytes) -> str:
-        k = _number(query.removeprefix("k="), _MAX_K)
-        if not (query.startswith("k=") and k is not None and k >= 1):
-            raise _BadRequest(f"the query must be k=<integer >= 1> "
-                              f"of at most {_MAX_K}, "
+    def candidates(query: str | None, body: bytes) -> str:
+        if query is not None:
+            raise _BadRequest(f"/v1/candidates takes no query, "
                               f"got {query[:100]!r}")
         words = _body_lines(body)
         for lineno, word in enumerate(words, start=1):
@@ -257,17 +256,17 @@ def _make_handler(index: NgramIndex):
         return "".join(
             "\t".join(f"{c.word}\t{c.shared}\t{c.unigram_count}"
                       for c in ranked) + "\n"
-            for ranked in index.rank_by_shared_bigrams(words, k))
+            for ranked in index.rank_by_shared_bigrams(words))
 
-    def postings(query: str, body: bytes) -> str:
-        params = urllib.parse.parse_qs(query, keep_blank_values=True)
+    def postings(query: str | None, body: bytes) -> str:
+        params = urllib.parse.parse_qs(query or "", keep_blank_values=True)
         bigram = params.get("q", [])
         if len(bigram) != 1 or len(bigram[0]) != 2:
             raise _BadRequest("exactly one q of 2 characters required")
         words = index.unigrams_containing_bigram(bigram[0])[:POSTINGS_CAP]
         return "".join(w + "\n" for w in words)
 
-    def manifest(query: str, body: bytes) -> str:
+    def manifest(query: str | None, body: bytes) -> str:
         return index.manifest.to_tsv()
 
     routes = {
@@ -341,12 +340,13 @@ def _make_handler(index: NgramIndex):
             elif method != "GET":
                 return (501, f"method {method[:100]!r} not implemented\n",
                         True)
-            path, _, query = target.partition("?")
+            path, mark, query = target.partition("?")
             route = routes.get((method, path))
             if route is None:
                 return 404, "unknown endpoint\n", close
             try:
-                return 200, route(query, body), close
+                # A route reads None for no query, "" for an empty one.
+                return 200, route(query if mark else None, body), close
             except _BadRequest as exc:
                 return 400, f"{exc}\n", close
 
@@ -470,22 +470,6 @@ def _close_quietly(*files) -> None:
             pass
 
 
-def _digits(text: str) -> bool:
-    """Whether `text` is a non-empty run of ASCII digits."""
-    return text.isascii() and text.isdigit()
-
-
-def _number(text: str, limit: int) -> int | None:
-    """The value of a run of ASCII digits when it is at most `limit`, else
-    None. A run longer than `limit`'s digits is over it without int(),
-    which refuses runs of more than 4300 digits."""
-    digits = text.lstrip("0") or "0"
-    if not _digits(text) or len(digits) > len(str(limit)):
-        return None
-    value = int(digits)
-    return value if value <= limit else None
-
-
 def _body_lines(body: bytes) -> list[str]:
     """The lines of a batch body; the last line's end is optional."""
     try:
@@ -590,20 +574,10 @@ class RemoteBackend:
             "GET", "/v1/postings?" + urllib.parse.urlencode({"q": bigram}))
         return [line for line in body.split("\n") if line]
 
-    def rank_by_shared_bigrams(self, words: Sequence[str], k: int
+    def rank_by_shared_bigrams(self, words: Sequence[str]
                                ) -> list[list[Candidate]]:
-        if isinstance(words, str):
-            raise ValueError(f"rank_by_shared_bigrams takes a sequence of "
-                             f"words, not the string {words!r}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        words = list(words)
-        for word in words:
-            if word.split() != [word]:
-                raise ValueError(f"words must be non-empty and hold no "
-                                 f"whitespace: {word!r}")
         ranked = []
-        for line in self._post_lines(f"/v1/candidates?k={k}", words):
+        for line in self._post_lines("/v1/candidates", check_words(words)):
             fields = line.split("\t") if line else []
             triples = list(zip(*[iter(fields)] * 3))
             if 3 * len(triples) != len(fields) or not all(

@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from asrspell import kernels
-from asrspell.candidates import Candidate, char_bigrams
+from asrspell.candidates import TOP_K, Candidate, char_bigrams
 
 log = logging.getLogger(__name__)
 
@@ -214,21 +214,16 @@ class NgramIndex:
             return []
         return [self._words[i] for i in ids]
 
-    def rank_by_shared_bigrams(self, words: Sequence[str], k: int
+    def rank_by_shared_bigrams(self, words: Sequence[str]
                                ) -> list[list[Candidate]]:
-        """Each word's top-k vocabulary words by distinct shared character
-        bigrams, the word itself left out.
+        """Each word's top ``TOP_K`` vocabulary words by distinct shared
+        character bigrams, the word itself left out.
 
         The backend-contract method the pipeline calls once per stage
         with every error word; the ranking itself runs in
         :mod:`asrspell.kernels`, once per word.
         """
-        if isinstance(words, str):
-            raise ValueError(f"rank_by_shared_bigrams takes a sequence of "
-                             f"words, not the string {words!r}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        return [self._rank(word, k) for word in words]
+        return [self._rank(word) for word in check_words(words)]
 
     def words_sharing_bigrams(self, word: str, min_shared: int
                               ) -> list[str]:
@@ -255,12 +250,12 @@ class NgramIndex:
         postings = self._postings
         return [postings[g] for g in char_bigrams(word) if g in postings]
 
-    def _rank(self, word: str, k: int) -> list[Candidate]:
+    def _rank(self, word: str) -> list[Candidate]:
         arrays = self._postings_of(word)
         if not arrays:
             return []
         pairs = kernels.rank_shared_candidates(
-            arrays, self._uni_counts, self._word_id.get(word, -1), k)
+            arrays, self._uni_counts, self._word_id.get(word, -1), TOP_K)
         return [
             Candidate(word=self._words[wid], shared=shared,
                       unigram_count=int(self._uni_counts[wid]))
@@ -278,6 +273,37 @@ def check_query(tokens: Sequence[str], max_order: int) -> None:
     if not 1 <= len(tokens) <= max_order:
         raise ValueError(
             f"query order {len(tokens)} outside 1..{max_order}")
+
+
+def check_words(words: Sequence[str]) -> list[str]:
+    """`words` as a list; ValueError unless each is non-empty and holds
+    no whitespace, as a line of POST /v1/candidates carries it, or when
+    `words` is a bare string."""
+    if isinstance(words, str):
+        raise ValueError(f"rank_by_shared_bigrams takes a sequence of "
+                         f"words, not the string {words!r}")
+    words = list(words)
+    for word in words:
+        if word.split() != [word]:
+            raise ValueError(f"words must be non-empty and hold no "
+                             f"whitespace: {word!r}")
+    return words
+
+
+def _digits(text: str) -> bool:
+    """Whether `text` is a non-empty run of ASCII digits."""
+    return text.isascii() and text.isdigit()
+
+
+def _number(text: str, limit: int) -> int | None:
+    """The value of a run of ASCII digits when it is at most `limit`, else
+    None. A run longer than `limit`'s digits is over it without int(),
+    which refuses runs of more than 4300 digits."""
+    digits = text.lstrip("0") or "0"
+    if not _digits(text) or len(digits) > len(str(limit)):
+        return None
+    value = int(digits)
+    return value if value <= limit else None
 
 
 def _vocabulary(unigrams: Iterable[str]) -> tuple[dict[str, int], int]:
@@ -533,7 +559,7 @@ def _read_manifest(path: Path) -> IndexManifest:
     if not path.is_file():
         raise IndexFormatError(f"{path}: missing manifest file")
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", newline="\n") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -555,18 +581,16 @@ def _read_manifest(path: Path) -> IndexManifest:
             f"{path}: normalization_version "
             f"{values['normalization_version']!r} does not match this "
             f"build's {NORMALIZATION_VERSION!r}")
-    try:
-        max_order = int(values["max_order"])
-        token_count = int(values["token_count"])
-        distinct = int(values["distinct_unigrams"])
-    except ValueError as exc:
-        raise IndexFormatError(f"{path}: non-integer manifest field: {exc}")
-    if not 1 <= max_order <= MAX_ORDER:
-        raise IndexFormatError(
-            f"{path}: max_order {max_order} outside 1..{MAX_ORDER}")
-    return IndexManifest(
-        corpus_id=values["corpus_id"], max_order=max_order,
-        token_count=token_count, distinct_unigrams=distinct)
+    numbers = {key: _number(values[key], _MAX_COUNT)
+               for key in ("max_order", "token_count", "distinct_unigrams")}
+    for key, number in numbers.items():
+        if number is None:
+            raise IndexFormatError(f"{path}: non-integer manifest field "
+                                   f"{key}: {values[key][:100]!r}")
+    if not 1 <= numbers["max_order"] <= MAX_ORDER:
+        raise IndexFormatError(f"{path}: max_order {numbers['max_order']} "
+                               f"outside 1..{MAX_ORDER}")
+    return IndexManifest(corpus_id=values["corpus_id"], **numbers)
 
 
 def _read_gram_file(path: Path, order: int, word_id: dict[str, int],
@@ -576,7 +600,7 @@ def _read_gram_file(path: Path, order: int, word_id: dict[str, int],
     if not path.is_file():
         raise IndexFormatError(f"{path}: missing {order}-gram file")
     table: dict = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", newline="\n") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -589,14 +613,14 @@ def _read_gram_file(path: Path, order: int, word_id: dict[str, int],
             if len(tokens) != order or "" in tokens:
                 raise IndexFormatError(
                     f"{path}:{lineno}: key {key!r} is not a {order}-gram")
-            try:
-                count = int(count_text)
-            except ValueError:
+            if not _digits(count_text):
                 raise IndexFormatError(
                     f"{path}:{lineno}: count {count_text!r} is not an integer")
-            if not 1 <= count <= _MAX_COUNT:
-                raise IndexFormatError(f"{path}:{lineno}: count must be "
-                                       f">= 1 and <= 2**63 - 1, got {count}")
+            count = _number(count_text, _MAX_COUNT)
+            if not count:  # 0, or None above the bound
+                raise IndexFormatError(
+                    f"{path}:{lineno}: count must be >= 1 and <= 2**63 - 1, "
+                    f"got {count_text}")
             packed = key if order == 1 else _pack(word_id, bits, tokens)
             if packed is None:
                 missing = next(t for t in tokens if t not in word_id)

@@ -54,7 +54,7 @@ def test_criterion_02_candidate_score_oracle():
 
 def test_criterion_03_context_query_construction(worked_index):
     transcript = tokenize(WORKED_ERROR_TEXT)
-    words = [c.word for c in generate_candidates("shaws", worked_index, k=8)]
+    words = [c.word for c in generate_candidates("shaws", worked_index)]
     prefix = transcript.context(5, 4)
     # The full-order queries come first, one per candidate.
     queries = selection_queries(prefix, words)[:len(words)]
@@ -104,7 +104,7 @@ def test_criterion_05_candidate_oracle_equivalence():
             index = build_index(" ".join(weighted))
         error = "".join(rng.choice(letters)
                         for _ in range(rng.randint(2, 10)))
-        got = generate_candidates(error, index, k=8)
+        got = generate_candidates(error, index)
         assert got == brute_force_candidates(error, index, 8)
         instances += 1
     _ok(5, f"generate_candidates equals the full-vocabulary scan on "

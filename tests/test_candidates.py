@@ -4,6 +4,7 @@ import pytest
 
 from asrspell import (Candidate, build_index, char_bigrams,
                       generate_candidates, shared_bigram_count)
+from asrspell.candidates import TOP_K
 from tests._synth import large_vocabulary
 
 FIXTURE_VOCAB = ("shows shawls shays shank sham haws hawk "
@@ -63,7 +64,7 @@ def brute_force_candidates(error, index, k):
 
 class TestGenerateCandidates:
     def test_worked_example_scores(self, worked_index):
-        ranked = generate_candidates("shaws", worked_index, k=8)
+        ranked = generate_candidates("shaws", worked_index)
         by_word = {c.word: c.shared for c in ranked}
         assert by_word["haws"] == 3
         for word in ["shows", "saws", "hawk", "shank", "maws"]:
@@ -73,7 +74,7 @@ class TestGenerateCandidates:
         assert len(ranked) == 8
 
     def test_frequent_word_wins_tie(self, worked_index):
-        ranked = generate_candidates("shaws", worked_index, k=8)
+        ranked = generate_candidates("shaws", worked_index)
         twos = [c for c in ranked if c.shared == 2]
         assert twos[0].word == "shows"        # corpus count 7 vs 1
 
@@ -94,12 +95,8 @@ class TestGenerateCandidates:
         assert ranked[0].word == "shawstrom"
         assert ranked[0].shared == len(char_bigrams("shaws"))
 
-    def test_k_must_be_positive(self, worked_index):
-        with pytest.raises(ValueError):
-            generate_candidates("shaws", worked_index, k=0)
-
     def test_every_candidate_shares_and_is_vocab(self, worked_index):
-        for c in generate_candidates("shaws", worked_index, k=8):
+        for c in generate_candidates("shaws", worked_index):
             assert shared_bigram_count("shaws", c.word) == c.shared >= 1
             assert worked_index.unigram_exists(c.word)
             assert [c.unigram_count] == worked_index.ngram_count([[c.word]])
@@ -118,9 +115,8 @@ class TestGenerateCandidates:
             for _ in range(5):
                 error = "".join(rng.choice(letters)
                                 for _ in range(rng.randint(2, 9)))
-                k = rng.choice([1, 3, 8, 20])
-                got = generate_candidates(error, index, k=k)
-                assert got == brute_force_candidates(error, index, k)
+                got = generate_candidates(error, index)
+                assert got == brute_force_candidates(error, index, TOP_K)
 
 
 def test_words_sharing_bigrams(worked_index):

@@ -92,6 +92,27 @@ def test_correct_takes_its_window_from_the_index(tmp_path, corpus_file,
     assert max(orders) == 3
 
 
+def test_realword_mode_over_unigrams_changes_nothing(tmp_path, capsys):
+    # A 1-gram index gives no token a context, so real-word mode has
+    # nothing to compare and leaves valid words alone, "hat" and "mat"
+    # included.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat on the mat\nthe cat sat\nthe hat\n" * 3,
+                      encoding="utf-8")
+    unigrams = tmp_path / "unigrams"
+    assert main(["build-index", "--corpus", str(corpus),
+                 "--out", str(unigrams), "--max-order", "1"]) == 0
+    src = tmp_path / "asr.txt"
+    src.write_text("the hat sat on the mat", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert main(["correct", "--index", str(unigrams), "--in", str(src),
+                 "--out", str(out), "--realword", "on",
+                 "--margin", "1.5"]) == 0
+    assert out.read_text(encoding="utf-8") == "the hat sat on the mat"
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("option", [["--context", "2"], ["--top-k", "8"],
                                     ["--no-backoff"]])
 def test_removed_correct_options_exit_1(tmp_path, index_dir, capsys,

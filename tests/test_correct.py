@@ -44,7 +44,7 @@ class TestBuildContextQueries:
 
     def test_worked_example_prefix(self, worked_index):
         transcript = tokenize(WORKED_ERROR_TEXT)
-        words = words_of(generate_candidates("shaws", worked_index, k=8))
+        words = words_of(generate_candidates("shaws", worked_index))
         prefix = transcript.context(5, 4)
         assert len(words) == 8
         assert prefix == ("episodes", "of", "your", "favorite")
@@ -54,13 +54,13 @@ class TestBuildContextQueries:
 
     def test_first_token_has_no_prefix(self, worked_index):
         transcript = tokenize(WORKED_ERROR_TEXT)
-        words = words_of(generate_candidates("shaws", worked_index, k=3))
+        words = words_of(generate_candidates("shaws", worked_index))[:3]
         assert transcript.context(0, 4) == ()
         assert selection_queries((), words) == [(w,) for w in words]
 
     def test_truncated_prefix(self, worked_index):
         transcript = tokenize(WORKED_ERROR_TEXT)
-        words = words_of(generate_candidates("shaws", worked_index, k=1))
+        words = words_of(generate_candidates("shaws", worked_index))[:1]
         prefix = transcript.context(2, 4)
         assert prefix == ("watch", "episodes")
         assert selection_queries(prefix, words) == [
@@ -108,7 +108,7 @@ class TestContextQueryTokens:
 class TestSelectCorrection:
     def test_full_order_decision(self, worked_index):
         transcript = tokenize(WORKED_ERROR_TEXT)
-        words = words_of(generate_candidates("shaws", worked_index, k=8))
+        words = words_of(generate_candidates("shaws", worked_index))
         decision = select(transcript.context(5, 4), words, worked_index)
         assert decision.chosen == "shows"
         assert decision.backoff_order == 5
@@ -128,7 +128,7 @@ class TestSelectCorrection:
                    "shawls shays shank sham haws hawk saws sawn maws hews"])
         index = build_index(corpus)
         transcript = tokenize(WORKED_ERROR_TEXT)
-        words = words_of(generate_candidates("shaws", index, k=8))
+        words = words_of(generate_candidates("shaws", index))
         decision = select(transcript.context(5, 4), words, index)
         assert decision.chosen == "shows"
         assert decision.backoff_order == 3
@@ -206,7 +206,7 @@ def synth_selection(synth_texts):
     for i, text in enumerate(texts):
         transcript = tokenize(text)
         for error in detect_nonword_errors(transcript, index):
-            words = words_of(generate_candidates(error.token, index, k=8))
+            words = words_of(generate_candidates(error.token, index))
             if words:
                 selections.append(
                     (transcript.context(error.position, i % 5), words))
@@ -225,7 +225,7 @@ class TestSelectionFromOneBatch:
 
     def test_unattested_context_costs_one_lookup(self, worked_index):
         # "zebra of your favorite" never occurs; "of your favorite" does.
-        words = words_of(generate_candidates("shaws", worked_index, k=8))
+        words = words_of(generate_candidates("shaws", worked_index))
         prefix = ("zebra", "of", "your", "favorite")
         backend = CountingBackend(worked_index)
         decision = select(prefix, words, backend)
@@ -332,7 +332,7 @@ class TestLookupCalls:
 
 def _method_and_path(message):
     """Method and path of a service log line such as
-    '127.0.0.1 "POST /v1/candidates?k=8 HTTP/1.1" 200 -'."""
+    '127.0.0.1 "POST /v1/candidates HTTP/1.1" 200 -'."""
     method, target, _ = message.split('"')[1].split(" ")
     return method, target.partition("?")[0]
 

@@ -6,12 +6,13 @@ from collections import Counter
 import pytest
 
 from asrspell import (BackendError, CorruptionSpec, DetectedError, ErrorKind,
-                      build_index, detect_nonword_errors,
+                      RemoteBackend, build_index, detect_nonword_errors,
                       detect_realword_suspects, generate_candidates,
                       inject_errors, normalize_token, tokenize)
 from asrspell.detect import _exempt
 from tests._synth import passage_of, synth_corpus
 from tests.conftest import WORKED_ERROR_TEXT, WORKED_SENTENCE
+from tests.test_service import _Server
 
 
 class TestTokenize:
@@ -202,19 +203,21 @@ class TestRealwordDetection:
                                      margin=math.nan)
 
 
-def unpruned_realword_suspects(transcript, backend, margin, window, k=8):
+def unpruned_realword_suspects(transcript, backend, margin):
     """Reference: real-word detection that ranks and counts the candidates
-    of every in-vocabulary token, without the context-count bound."""
+    of every in-vocabulary token that has a context, without the
+    context-count bound."""
+    window = backend.max_order - 1
     suspects = []
     for i, token in enumerate(transcript.tokens):
-        if i == 0 or len(token) < 2 or any(c.isdigit() for c in token):
+        prefix = transcript.tokens[max(0, i - window):i]
+        if not prefix or len(token) < 2 or any(c.isdigit() for c in token):
             continue
         if not backend.unigram_exists(token):
             continue
-        prefix = transcript.tokens[max(0, i - window):i]
         [own] = backend.ngram_count([prefix + [token]])
         threshold = margin * max(own, 1)
-        cands = [c.word for c in generate_candidates(token, backend, k=k)]
+        cands = [c.word for c in generate_candidates(token, backend)]
         if any(count >= threshold for count in backend.ngram_count(
                 [prefix + [cand] for cand in cands])):
             suspects.append(
@@ -251,11 +254,16 @@ class CountingBackend:
 
 
 @pytest.fixture(scope="module")
-def synth_case():
+def detect_corpus():
+    return synth_corpus(8000, seed=11)
+
+
+@pytest.fixture(scope="module")
+def synth_case(detect_corpus):
     """A seeded synthetic index and transcripts with real-word and
     non-word errors: half cut from the corpus itself (frequent contexts),
     half from fresh text (many unattested ones)."""
-    corpus = synth_corpus(8000, seed=11)
+    corpus = detect_corpus
     index = build_index(corpus, corpus_id="synth-detect")
     fresh = synth_corpus(3000, seed=12)
     transcripts = []
@@ -267,47 +275,92 @@ def synth_case():
     return index, transcripts
 
 
+@pytest.fixture(scope="module")
+def window_index(detect_corpus, synth_case):
+    """The indexes of `synth_case`'s corpus by their context window, each
+    of order window + 1."""
+    indexes = {window: build_index(detect_corpus, max_order=window + 1)
+               for window in (0, 1, 2)}
+    return {**indexes, 4: synth_case[0]}
+
+
 class TestRealwordContextBound:
+    # Over indexes of order 1, 2 and 5: the window is the index's.
     @pytest.mark.parametrize("window", [0, 1, 4])
     @pytest.mark.parametrize("margin", [1, 1.5, 10, math.inf])
-    def test_matches_unpruned_reference(self, synth_case, margin, window):
-        index, transcripts = synth_case
+    def test_matches_unpruned_reference(self, synth_case, window_index,
+                                        margin, window):
+        _, transcripts = synth_case
+        index = window_index[window]
         flagged = 0
         for transcript in transcripts:
-            got = detect_realword_suspects(transcript, index, margin=margin,
-                                           window=window)
-            assert got == unpruned_realword_suspects(
-                transcript, index, margin, window)
+            got = detect_realword_suspects(transcript, index, margin=margin)
+            assert got == unpruned_realword_suspects(transcript, index,
+                                                     margin)
             flagged += len(got)
-        assert (flagged > 0) == (margin != math.inf)
+        # Without a context no token is checked.
+        assert (flagged > 0) == (margin != math.inf and window > 0)
 
-    def test_infinite_margin_ranks_nothing(self, synth_case):
-        # Every context count is below an infinite threshold. (Without a
-        # context, window=0, candidates are still ranked.)
-        index, transcripts = synth_case
-        for window in [1, 4]:
-            backend = CountingBackend(index)
+    def test_no_context_no_lookup(self, synth_case, window_index):
+        # Over a 1-gram index no token has a context: nothing is counted
+        # or ranked, at the lowest margin too.
+        _, transcripts = synth_case
+        backend = CountingBackend(window_index[0])
+        for transcript in transcripts:
+            assert detect_realword_suspects(transcript, backend,
+                                            margin=1) == []
+        assert backend.calls == Counter()
+
+    def test_infinite_margin_ranks_nothing(self, synth_case, window_index):
+        # Every context count is below an infinite threshold.
+        _, transcripts = synth_case
+        for window in [0, 1, 4]:
+            backend = CountingBackend(window_index[window])
             for transcript in transcripts:
                 detect_realword_suspects(transcript, backend,
-                                         margin=math.inf, window=window)
+                                         margin=math.inf)
             assert backend.calls["rank_by_shared_bigrams"] == 0
 
-    @pytest.mark.parametrize("window", [1, 4])
-    def test_survivors_ranked_in_one_call(self, synth_case, window):
-        class RecordingBackend(CountingBackend):
-            def rank_by_shared_bigrams(self, words, k):
-                batches.append(len(words))
-                return self._inner.rank_by_shared_bigrams(words, k)
+    def test_served_index_reads_the_same_window(self, synth_case,
+                                                window_index):
+        # A RemoteBackend reads its window from /v1/manifest: over a
+        # served 3-gram index it flags what the local index flags.
+        _, transcripts = synth_case
+        index = window_index[2]
+        srv = _Server(index)
+        remote = RemoteBackend(srv.url)
+        flagged = 0
+        try:
+            for transcript in transcripts:
+                got = detect_realword_suspects(transcript, remote,
+                                               margin=1.5)
+                assert got == detect_realword_suspects(transcript, index,
+                                                       margin=1.5)
+                assert got == unpruned_realword_suspects(transcript, index,
+                                                         1.5)
+                flagged += len(got)
+            assert remote.max_order == 3
+        finally:
+            remote.close()
+            srv.stop()
+        assert flagged > 0
 
-        index, transcripts = synth_case
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_survivors_ranked_in_one_call(self, synth_case, window_index,
+                                          window):
+        class RecordingBackend(CountingBackend):
+            def rank_by_shared_bigrams(self, words):
+                batches.append(len(words))
+                return self._inner.rank_by_shared_bigrams(words)
+
+        _, transcripts = synth_case
+        index = window_index[window]
         largest = 0
         for transcript in transcripts:
             batches = []
             backend = RecordingBackend(index)
-            got = detect_realword_suspects(transcript, backend, margin=1.5,
-                                           window=window)
-            assert got == unpruned_realword_suspects(
-                transcript, index, 1.5, window)
+            got = detect_realword_suspects(transcript, backend, margin=1.5)
+            assert got == unpruned_realword_suspects(transcript, index, 1.5)
             assert len(batches) <= 1
             assert backend.calls["ngram_count"] <= 2
             largest = max([largest, *batches])
@@ -318,7 +371,7 @@ class TestRealwordContextBound:
         # candidate of "shawls" can reach it after "hews".
         backend = CountingBackend(realword_index)
         assert detect_realword_suspects(tokenize("hews shawls"), backend,
-                                        margin=10, window=1) == []
+                                        margin=10) == []
         assert backend.calls["rank_by_shared_bigrams"] == 0
         # One call: existence, own count and context count of "shawls".
         assert (backend.calls["ngram_count"], backend.queries) == (1, 3)
@@ -330,7 +383,7 @@ class TestRealwordContextBound:
         backend = CountingBackend(realword_index)
         text = "watch episodes of your favorite shawls and more"
         suspects = detect_realword_suspects(tokenize(text), backend,
-                                            margin=10, window=4)
+                                            margin=10)
         assert [(s.position, s.token) for s in suspects] == [(5, "shawls")]
         assert backend.calls["rank_by_shared_bigrams"] == 1
         # One call for the checked tokens, one for the candidates of
@@ -347,4 +400,4 @@ class TestRealwordContextBound:
         with pytest.raises(BackendError):
             detect_realword_suspects(
                 tokenize("your favorite shawls"),
-                FailingContext(realword_index), margin=10, window=2)
+                FailingContext(realword_index), margin=10)

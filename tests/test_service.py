@@ -155,8 +155,8 @@ class TestRemoteBackend:
                 worked_index.unigrams_containing_bigram(gram)
 
     def test_candidates_match_local(self, remote, worked_index):
-        assert generate_candidates("shaws", remote, k=8) == \
-            generate_candidates("shaws", worked_index, k=8)
+        assert generate_candidates("shaws", remote) == \
+            generate_candidates("shaws", worked_index)
 
     def test_order_validation_mirrors_local(self, remote):
         with pytest.raises(ValueError):
@@ -182,10 +182,9 @@ class TestRemoteBackend:
 
     def test_rank_batch_matches_local(self, remote, worked_index):
         words = sorted(worked_index.vocab) + ["shaws", "hwas", "q", "qq"]
-        for k in [1, 8, 50]:
-            assert remote.rank_by_shared_bigrams(words, k) == \
-                worked_index.rank_by_shared_bigrams(words, k)
-        assert remote.rank_by_shared_bigrams([], 8) == []
+        assert remote.rank_by_shared_bigrams(words) == \
+            worked_index.rank_by_shared_bigrams(words)
+        assert remote.rank_by_shared_bigrams([]) == []
 
 
     def test_dead_service_raises_backend_error(self):
@@ -300,25 +299,24 @@ class TestCandidatesEndpoint:
     def test_matches_local_ranking(self, base_url, worked_index):
         words = ["shaws", "haws", "shows", "hwas", "shaws", "q"]
         body = "".join(w + "\n" for w in words).encode()
-        for k in [1, 3, 8, 50]:
-            expected = worked_index.rank_by_shared_bigrams(words, k)
-            assert fetch(f"{base_url}/v1/candidates?k={k}", body) == \
-                (200, candidate_lines(expected))
-            assert [len(cands) for cands in expected] == \
-                [min(k, n) for n in (11, 10, 8, 1, 11, 0)]
-            # The word itself is never its own candidate.
-            assert all(w not in [c.word for c in cands]
-                       for w, cands in zip(words, expected))
+        expected = worked_index.rank_by_shared_bigrams(words)
+        assert fetch(f"{base_url}/v1/candidates", body) == \
+            (200, candidate_lines(expected))
+        # The top 8 of each word's 11, 10, 8, 1, 11 and 0 partners.
+        assert [len(cands) for cands in expected] == [8, 8, 8, 1, 8, 0]
+        # The word itself is never its own candidate.
+        assert all(w not in [c.word for c in cands]
+                   for w, cands in zip(words, expected))
 
     def test_no_shared_bigram_is_empty(self, base_url):
-        assert fetch(f"{base_url}/v1/candidates?k=8", b"zqx\nq\nzqx\n") == \
+        assert fetch(f"{base_url}/v1/candidates", b"zqx\nq\nzqx\n") == \
             (200, "\n\n\n")
-        assert fetch(f"{base_url}/v1/candidates?k=8", b"") == (200, "")
+        assert fetch(f"{base_url}/v1/candidates", b"") == (200, "")
 
     def test_last_line_end_is_optional(self, base_url, worked_index):
         expected = candidate_lines(
-            worked_index.rank_by_shared_bigrams(["shaws", "hwas"], 2))
-        assert fetch(f"{base_url}/v1/candidates?k=2", b"shaws\nhwas") == \
+            worked_index.rank_by_shared_bigrams(["shaws", "hwas"]))
+        assert fetch(f"{base_url}/v1/candidates", b"shaws\nhwas") == \
             (200, expected)
 
     @pytest.mark.parametrize("query", [
@@ -327,30 +325,31 @@ class TestCandidatesEndpoint:
         "b=aw&k=8&k=9", "", "k=0", "k=-1", "k=%38", "k=8&exclude=shaws",
     ])
     def test_malformed_get_400_with_reason(self, base_url, query):
-        """Malformed query strings, the retired GET route's among them,
-        get 400 from the POST route: its query is exactly one k >= 1."""
+        """Every query string, the empty one, a k and the retired GET
+        route's among them, gets 400 from the POST route, which takes no
+        query: a client that asks for another k fails loudly."""
         status, reason = fetch_error(f"{base_url}/v1/candidates?{query}",
                                      b"shaws\n")
         assert status == 400
-        assert reason.startswith("the query must be k=<integer >= 1>")
+        assert reason == f"/v1/candidates takes no query, got {query!r}\n"
 
     @pytest.mark.parametrize("body,line", [
         (b"\n", 1), (b"shaws\n\nshaws\n", 2), (b"shaws\ntwo words\n", 2),
         (b" shaws\n", 1), (b"shaws\t\n", 1), (b"shaws\r\n", 1),
     ])
     def test_malformed_batch_gets_400_with_line(self, base_url, body, line):
-        status, reason = fetch_error(f"{base_url}/v1/candidates?k=8", body)
+        status, reason = fetch_error(f"{base_url}/v1/candidates", body)
         assert status == 400
         assert reason.startswith(f"line {line}: ")
 
     def test_body_not_utf8_gets_400(self, base_url):
-        status, reason = fetch_error(f"{base_url}/v1/candidates?k=8",
+        status, reason = fetch_error(f"{base_url}/v1/candidates",
                                      b"shaws\xff\n")
         assert status == 400
         assert reason.startswith("body is not UTF-8")
 
     def test_length_limits_shared_with_counts(self, counted):
-        path = "/v1/candidates?k=8"
+        path = "/v1/candidates"
         assert _post_raw(counted.port, [], path=path) == \
             (411, "Content-Length required\n", "close")
         status, reason, connection = _post_raw(
@@ -402,13 +401,13 @@ class TestConnections:
 
     def test_connection_survives_a_400(self, counted, fresh, worked_index):
         assert fresh.ngram_count([["shows"]]) == [7]
-        # The client passes a k that is no integer on to the server.
+        # Requests the server refuses, as from a client that asks for k.
         with pytest.raises(ValueError, match="rejected query"):
-            fresh.rank_by_shared_bigrams(["shaws"], k=1.5)
-        assert fresh.rank_by_shared_bigrams(["aw"], k=3) == \
-            worked_index.rank_by_shared_bigrams(["aw"], k=3)
+            fresh._call("POST", "/v1/candidates?k=3", b"shaws\n")
+        assert fresh.rank_by_shared_bigrams(["aw"]) == \
+            worked_index.rank_by_shared_bigrams(["aw"])
         with pytest.raises(ValueError, match="rejected query"):
-            fresh.rank_by_shared_bigrams(["shaws"], k=2.5)
+            fresh._call("POST", "/v1/candidates?k=8", b"shaws\n")
         assert fresh.ngram_count([["favorite", "shows"]]) == [7]
         assert len(counted.accepted) == 1
 
@@ -428,7 +427,7 @@ class TestConnections:
         with pytest.raises(BackendError):
             remote.ngram_count([["shows"]])
         with pytest.raises(BackendError):
-            remote.rank_by_shared_bigrams(["aw"], k=3)
+            remote.rank_by_shared_bigrams(["aw"])
         remote.close()
 
     def test_threads_share_one_backend(self, counted, fresh,
@@ -517,24 +516,19 @@ class TestRankInputChecks:
     def test_string_rejected_by_both(self, counted, fresh, worked_index):
         for backend in (worked_index, fresh):
             with pytest.raises(ValueError, match="not the string 'shaws'"):
-                backend.rank_by_shared_bigrams("shaws", 8)
-        assert counted.accepted == []
-
-    @pytest.mark.parametrize("k", [0, -3])
-    def test_k_below_one_rejected_by_both(self, counted, fresh,
-                                          worked_index, k):
-        for backend in (worked_index, fresh):
-            with pytest.raises(ValueError, match="k must be >= 1"):
-                backend.rank_by_shared_bigrams(["shaws"], k)
+                backend.rank_by_shared_bigrams("shaws")
         assert counted.accepted == []
 
     @pytest.mark.parametrize("word", ["", "two words", "line\nend",
                                       "tab\tin", " shaws", "shaws\r",
                                       "no\xa0break"])
-    def test_word_the_line_format_cannot_carry(self, counted, fresh, word):
-        # Rejected before anything is sent.
-        with pytest.raises(ValueError, match="whitespace"):
-            fresh.rank_by_shared_bigrams(["shaws", word], 8)
+    def test_word_the_line_format_cannot_carry(self, counted, fresh,
+                                               worked_index, word):
+        # Rejected by both backends, by the client before anything is
+        # sent.
+        for backend in (worked_index, fresh):
+            with pytest.raises(ValueError, match="whitespace"):
+                backend.rank_by_shared_bigrams(["shaws", word])
         assert counted.accepted == []
 
 
@@ -568,26 +562,6 @@ class TestOverlongNumbers:
     def test_leading_zeros_are_read(self, counted):
         assert _post_raw(counted.port, [("Content-Length", "0" * 5000 + "6")],
                          b"shows\n")[:2] == (200, "7\n")
-
-    @pytest.mark.parametrize("k", ["9" * 5000, str(2**63)],
-                             ids=["5000-digits", "2**63"])
-    def test_k_gets_400(self, counted, capfd, k):
-        status, reason = fetch_error(f"{counted.url}/v1/candidates?k={k}",
-                                     b"shaws\n")
-        assert status == 400
-        assert reason.startswith("the query must be k=<integer >= 1>")
-        assert len(reason) < 200
-        assert fetch(f"{counted.url}/v1/candidates?k=1", b"shaws\n") == \
-            (200, "haws\t3\t1\n")
-        assert "Traceback" not in capfd.readouterr().err
-
-    @pytest.mark.parametrize("k,value", [("0" * 5000 + "8", 8),
-                                         (str(2**63 - 1), 2**63 - 1)],
-                             ids=["leading-zeros", "2**63-1"])
-    def test_k_in_range_is_read(self, counted, worked_index, k, value):
-        expected = worked_index.rank_by_shared_bigrams(["shaws"], value)
-        assert fetch(f"{counted.url}/v1/candidates?k={k}", b"shaws\n") == \
-            (200, candidate_lines(expected))
 
 
 def record_requests(remote, monkeypatch):
@@ -810,11 +784,11 @@ def test_reply_of_wrong_shape_is_a_backend_error(fake_reply, reply):
 def test_candidates_of_wrong_shape_are_a_backend_error(fake_reply, reply):
     remote, replies = fake_reply
     replies["/v1/candidates"] = b"haws\t3\t1\tshows\t2\t7\n\n"
-    assert remote.rank_by_shared_bigrams(["shaws", "zq"], 8) == [
+    assert remote.rank_by_shared_bigrams(["shaws", "zq"]) == [
         [Candidate("haws", 3, 1), Candidate("shows", 2, 7)], []]
     replies["/v1/candidates"] = reply
     with pytest.raises(BackendError, match="/v1/candidates"):
-        remote.rank_by_shared_bigrams(["shaws", "zq"], 8)
+        remote.rank_by_shared_bigrams(["shaws", "zq"])
 
 
 @pytest.mark.parametrize("body,lines_ok", [
@@ -890,10 +864,10 @@ class TestLargeVocabularyEquality:
         words = sorted(errors) + rng.sample(sorted(index.vocab), 30) + \
             ["a", "b", "e", "ab"]
         rng.shuffle(words)
-        got = remote.rank_by_shared_bigrams(words, 8)
-        assert got == index.rank_by_shared_bigrams(words, 8)
+        got = remote.rank_by_shared_bigrams(words)
+        assert got == index.rank_by_shared_bigrams(words)
         for word, ranked in zip(words, got):
-            assert ranked == generate_candidates(word, index, k=8)
+            assert ranked == generate_candidates(word, index)
             assert (ranked == []) == (len(word) < 2), word
             assert word not in [c.word for c in ranked]
 
@@ -906,8 +880,8 @@ class TestLargeVocabularyEquality:
                  for _ in range(1200)]
         assert sum(len(w) + 1 for w in words) > MAX_BATCH_BYTES
         sent = record_requests(remote, monkeypatch)
-        assert remote.rank_by_shared_bigrams(words, 5) == \
-            index.rank_by_shared_bigrams(words, 5)
+        assert remote.rank_by_shared_bigrams(words) == \
+            index.rank_by_shared_bigrams(words)
         bodies = [body for _, body in sent]
         assert len(bodies) == 2
         assert_cut_full(bodies)
@@ -1004,10 +978,10 @@ def test_query_checks_hold_under_python_O():
 
 
 def test_rank_checks_hold_under_python_O():
-    """Both rank_by_shared_bigrams implementations test their input
-    inline and reject the same input when assert statements are
-    stripped; the client also rejects words the line format cannot
-    carry."""
+    """Both rank_by_shared_bigrams implementations check their input
+    with one function, so they reject the same input, words the line
+    format cannot carry included, when assert statements are
+    stripped."""
     code = """if True:
         import threading
         from asrspell import RemoteBackend, build_index, serve
@@ -1015,13 +989,12 @@ def test_rank_checks_hold_under_python_O():
         srv = serve(index, port=0)
         threading.Thread(target=srv.serve_forever, daemon=True).start()
         remote = RemoteBackend(f"http://127.0.0.1:{srv.server_address[1]}")
-        calls = {"string": ("shows", 8), "k 0": (["shows"], 0),
-                 "empty": (["shows", ""], 8),
-                 "space": (["your favorite"], 8)}
+        calls = {"string": "shows", "empty": ["shows", ""],
+                 "space": ["your favorite"]}
         for backend in (index, remote):
-            for name, (words, k) in calls.items():
+            for name, words in calls.items():
                 try:
-                    backend.rank_by_shared_bigrams(words, k)
+                    backend.rank_by_shared_bigrams(words)
                 except ValueError as exc:
                     print(f"{type(backend).__name__} {name}: {exc}")
         srv.shutdown()
@@ -1032,17 +1005,13 @@ def test_rank_checks_hold_under_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "NgramIndex string: rank_by_shared_bigrams takes a sequence of "
-        "words, not the string 'shows'",
-        "NgramIndex k 0: k must be >= 1, got 0",
-        "RemoteBackend string: rank_by_shared_bigrams takes a sequence of "
-        "words, not the string 'shows'",
-        "RemoteBackend k 0: k must be >= 1, got 0",
-        "RemoteBackend empty: words must be non-empty and hold no "
-        "whitespace: ''",
-        "RemoteBackend space: words must be non-empty and hold no "
-        "whitespace: 'your favorite'",
-    ]
+        f"{backend} {line}" for backend in ("NgramIndex", "RemoteBackend")
+        for line in (
+            "string: rank_by_shared_bigrams takes a sequence of words, "
+            "not the string 'shows'",
+            "empty: words must be non-empty and hold no whitespace: ''",
+            "space: words must be non-empty and hold no whitespace: "
+            "'your favorite'")]
 
 
 def test_connections_over_the_worker_cap_get_503(worked_index, caplog):
@@ -1425,7 +1394,8 @@ def test_stock_clients_get_the_same_replies(counted, worked_index):
     assert proc.stdout.decode() == worked_index.manifest.to_tsv()
 
 
-def test_each_message_is_one_send(counted, fresh, monkeypatch):
+def test_each_message_is_one_send(counted, fresh, worked_index,
+                                  monkeypatch):
     """Every request and every reply goes out in one sendall, head and
     body together."""
     sent = []
@@ -1442,10 +1412,10 @@ def test_each_message_is_one_send(counted, fresh, monkeypatch):
     monkeypatch.setattr(socket.socket, "send", unexpected)
     assert fresh.max_order == 5
     assert fresh.ngram_count([["shows"], ["favorite", "shows"]]) == [7, 7]
-    assert fresh.rank_by_shared_bigrams(["shaws"], 1) == \
-        [[Candidate("haws", 3, 1)]]
+    assert fresh.rank_by_shared_bigrams(["shaws"]) == \
+        worked_index.rank_by_shared_bigrams(["shaws"])
     with pytest.raises(ValueError, match="rejected query"):
-        fresh.rank_by_shared_bigrams(["shaws"], k=1.5)
+        fresh._call("POST", "/v1/candidates?k=1", b"shaws\n")
     requests = [data for data in sent if not data.startswith(b"HTTP/")]
     replies = [data for data in sent if data.startswith(b"HTTP/1.1 ")]
     assert [data.split(b" ", 1)[0] for data in requests] == \

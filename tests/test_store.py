@@ -317,6 +317,11 @@ class TestPersistence:
         ("the\t0", ">= 1"),
         ("the\t9223372036854775808", r"1gram\.tsv:1: .*<= 2\*\*63 - 1"),
         ("the", "ngram<TAB>count"),
+        # int() reads each of these; a count is ASCII digits only.
+        ("the\t+2", r"1gram\.tsv:1: count '\+2' is not an integer"),
+        ("the\t\u0661", "count '\u0661' is not an integer"),
+        ("the\t 2", "count ' 2' is not an integer"),
+        ("the\t1_0", "count '1_0' is not an integer"),
     ])
     def test_malformed_gram_lines(self, tiny_index, tmp_path, line, message):
         save_index(tiny_index, tmp_path / "idx")
@@ -340,8 +345,18 @@ class TestPersistence:
         (MANIFEST_FILE, "token_count\t6\n", "", "",
          "missing keys ['token_count']"),
         (MANIFEST_FILE, "token_count\t6", "token_count\tsix", "",
-         "non-integer manifest field: invalid literal for int() with "
-         "base 10: 'six'"),
+         "non-integer manifest field token_count: 'six'"),
+        (MANIFEST_FILE, "max_order\t5", "max_order\t 5", "",
+         "non-integer manifest field max_order: ' 5'"),
+        (MANIFEST_FILE, "token_count\t6", "token_count\t0_6", "",
+         "non-integer manifest field token_count: '0_6'"),
+        (MANIFEST_FILE, "max_order\t5", "max_order\t+5", "",
+         "non-integer manifest field max_order: '+5'"),
+        # The format's line end is LF: a CR before it is no line end.
+        ("1gram.tsv", "cat\t2\n", "cat\t2\r\n", ":1",
+         "count '2\\r' is not an integer"),
+        (MANIFEST_FILE, "max_order\t5\n", "max_order\t5\r\n", "",
+         "non-integer manifest field max_order: '5\\r'"),
         (MANIFEST_FILE, "max_order\t5", "max_order\t6", "",
          "max_order 6 outside 1..5"),
         (MANIFEST_FILE, "max_order\t5", "max_order\t0", "",
