@@ -23,26 +23,32 @@ def rank_shared_candidates(postings, uni_counts, exclude_id, k):
     error word's ``postings``.
 
     ``uni_counts`` maps word id to corpus frequency; ``exclude_id`` (or
-    -1 for none) is dropped. Returns at most ``k`` ``(word_id, shared)``
-    pairs ordered by shared count descending, then corpus frequency
+    -1 for none) is dropped. Returns three lists, the word ids, their
+    shared counts and their corpus frequencies, of at most ``k`` words
+    ordered by shared count descending, then corpus frequency
     descending, then word id ascending.
 
     Nothing is sorted but the few survivors: :func:`shared_counts` gives
-    every word's shared count, a histogram of those counts gives the
-    lowest count the top ``k`` reach, and only the words at or above it
-    are ordered.
+    every word's shared count, a scan down from the highest count finds
+    the lowest count the top ``k`` reach, and only the words at or above
+    it are ordered. Each postings array lists a word at most once, so no
+    count exceeds ``len(postings)``, and below 256 arrays the scan runs
+    over an exact uint8 copy of the counts.
     """
     if not postings:
-        return []
+        return [], [], []
     counts = shared_counts(postings, len(uni_counts))
     if exclude_id >= 0:
         counts[exclude_id] = 0
-    # reach[s - 1] is the number of words sharing at least s bigrams; the
-    # cut is the highest s that still reaches k words, else 1.
-    reach = np.cumsum(np.bincount(counts)[:0:-1])[::-1]
-    cut = max(1, int(np.count_nonzero(reach >= k)))
+    if len(postings) < 256:
+        counts = counts.astype(np.uint8)
+    # The cut is the highest count that at least k words reach, else 1.
+    cut = max(int(counts.max()), 1)
+    while cut > 1 and np.count_nonzero(counts >= cut) < k:
+        cut -= 1
     ids = np.flatnonzero(counts >= cut)
-    shared = counts[ids]
+    shared = counts[ids].astype(np.int64)  # a uint8 would wrap negated
+    uni = uni_counts[ids]
     # lexsort applies its keys last-first.
-    order = np.lexsort((ids, -uni_counts[ids], -shared))[:k]
-    return list(zip(ids[order].tolist(), shared[order].tolist()))
+    order = np.lexsort((ids, -uni, -shared))[:k]
+    return ids[order].tolist(), shared[order].tolist(), uni[order].tolist()

@@ -72,8 +72,8 @@ from typing import Sequence
 
 from asrspell.backend import BackendError
 from asrspell.candidates import Candidate
-from asrspell.store import (MAX_ORDER, NgramIndex, _digits, _number,
-                            check_query, check_words)
+from asrspell.store import (MAX_ORDER, NgramIndex, WordError, _digits,
+                            _number, check_query, check_words)
 
 log = logging.getLogger(__name__)
 
@@ -248,15 +248,15 @@ def _make_handler(index: NgramIndex):
         if query is not None:
             raise _BadRequest(f"/v1/candidates takes no query, "
                               f"got {query[:100]!r}")
-        words = _body_lines(body)
-        for lineno, word in enumerate(words, start=1):
-            if word.split() != [word]:
-                raise _BadRequest(f"line {lineno}: a word must be "
-                                  f"non-empty and hold no whitespace")
+        try:
+            rankings = index.rank_by_shared_bigrams(_body_lines(body))
+        except WordError as exc:
+            raise _BadRequest(f"line {exc.position + 1}: a word must be "
+                              f"non-empty and hold no whitespace") from None
         return "".join(
             "\t".join(f"{c.word}\t{c.shared}\t{c.unigram_count}"
                       for c in ranked) + "\n"
-            for ranked in index.rank_by_shared_bigrams(words))
+            for ranked in rankings)
 
     def postings(query: str | None, body: bytes) -> str:
         params = urllib.parse.parse_qs(query or "", keep_blank_values=True)

@@ -125,6 +125,8 @@ class NgramIndex:
         self._words: list[str] = list(self._word_id)
         self._uni_counts = np.array(
             [tables[0][w] for w in self._words], dtype=np.int64)
+        # Each postings array is strictly ascending, so it lists a word
+        # once: the ranking kernel's counts rely on that.
         postings: dict[str, list[int]] = {}
         for wid, word in enumerate(self._words):
             for gram in char_bigrams(word):
@@ -254,13 +256,11 @@ class NgramIndex:
         arrays = self._postings_of(word)
         if not arrays:
             return []
-        pairs = kernels.rank_shared_candidates(
+        ids, shared, uni = kernels.rank_shared_candidates(
             arrays, self._uni_counts, self._word_id.get(word, -1), TOP_K)
-        return [
-            Candidate(word=self._words[wid], shared=shared,
-                      unigram_count=int(self._uni_counts[wid]))
-            for wid, shared in pairs
-        ]
+        words = self._words
+        return [Candidate(words[wid], s, c)
+                for wid, s, c in zip(ids, shared, uni)]
 
 
 def check_query(tokens: Sequence[str], max_order: int) -> None:
@@ -275,18 +275,26 @@ def check_query(tokens: Sequence[str], max_order: int) -> None:
             f"query order {len(tokens)} outside 1..{max_order}")
 
 
+class WordError(ValueError):
+    """A word :func:`check_words` rejects, at index ``position``."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position
+
+
 def check_words(words: Sequence[str]) -> list[str]:
-    """`words` as a list; ValueError unless each is non-empty and holds
-    no whitespace, as a line of POST /v1/candidates carries it, or when
-    `words` is a bare string."""
+    """`words` as a list; ValueError when `words` is a bare string, and
+    :class:`WordError` for the first word that is empty or holds
+    whitespace, which a line of POST /v1/candidates cannot carry."""
     if isinstance(words, str):
         raise ValueError(f"rank_by_shared_bigrams takes a sequence of "
                          f"words, not the string {words!r}")
     words = list(words)
-    for word in words:
+    for position, word in enumerate(words):
         if word.split() != [word]:
-            raise ValueError(f"words must be non-empty and hold no "
-                             f"whitespace: {word!r}")
+            raise WordError(f"words must be non-empty and hold no "
+                            f"whitespace: {word!r}", position)
     return words
 
 

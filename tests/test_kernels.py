@@ -18,14 +18,17 @@ def random_workload(rng, n_vocab, n_lists):
 
 
 def brute_force(postings, uni, exclude_id, k):
+    """The kernel's three lists, word ids, shared counts and corpus
+    frequencies, by counting in a dict and sorting every hit."""
     shared = {}
     for arr in postings:
         for wid in arr.tolist():
             shared[wid] = shared.get(wid, 0) + 1
     shared.pop(exclude_id, None)
     ranked = sorted(shared.items(),
-                    key=lambda t: (-t[1], -int(uni[t[0]]), t[0]))
-    return ranked[:k]
+                    key=lambda t: (-t[1], -int(uni[t[0]]), t[0]))[:k]
+    return ([wid for wid, _ in ranked], [n for _, n in ranked],
+            [int(uni[wid]) for wid, _ in ranked])
 
 
 def test_matches_brute_force():
@@ -37,6 +40,9 @@ def test_matches_brute_force():
         k = rng.randint(1, 12)
         got = kernels.rank_shared_candidates(postings, uni, exclude, k)
         assert got == brute_force(postings, uni, exclude, k)
+        # Plain lists of Python ints, not numpy scalars.
+        assert all(type(part) is list for part in got)
+        assert all(type(v) is int for part in got for v in part)
 
 
 def test_matches_brute_force_at_realistic_scale():
@@ -68,14 +74,37 @@ def test_matches_brute_force_at_realistic_scale():
         assert got == brute_force(lists, uni, exclude, k)
 
 
+def test_matches_brute_force_past_the_uint8_range():
+    # Up to 255 lists every count fits a uint8; from 256 on, words 0 and
+    # 1, in every list, and word 2, in all but one, have counts it cannot
+    # hold, and the random rest reach past 255 as well.
+    rng = random.Random(17)
+    n_vocab = 40
+    for n_lists in (255, 256, 257, 300):
+        postings = []
+        for i in range(n_lists):
+            ids = set(rng.sample(range(n_vocab), rng.randint(25, n_vocab)))
+            ids |= {0, 1} if i else {0, 1, 2}
+            postings.append(np.array(sorted(ids), dtype=np.intc))
+        uni = np.array([rng.randint(1, 4) for _ in range(n_vocab)],
+                       dtype=np.int64)
+        assert max(brute_force(postings, uni, -1, 1)[1]) == n_lists
+        for exclude in (-1, 0, 2):
+            for k in (1, 2, 3, 8, 50):
+                got = kernels.rank_shared_candidates(postings, uni, exclude, k)
+                assert got == brute_force(postings, uni, exclude, k)
+
+
 def test_edge_cases():
     uni = np.array([5, 5, 5], dtype=np.int64)
     empty = np.array([], dtype=np.intc)
-    assert kernels.rank_shared_candidates([], uni, -1, 8) == []
-    assert kernels.rank_shared_candidates([empty], uni, -1, 8) == []
+    nothing = ([], [], [])
+    assert kernels.rank_shared_candidates([], uni, -1, 8) == nothing
+    assert kernels.rank_shared_candidates([empty], uni, -1, 8) == nothing
     one = np.array([1], dtype=np.intc)
-    assert kernels.rank_shared_candidates([one], uni, 1, 8) == []
-    assert kernels.rank_shared_candidates([one, one], uni, -1, 8) == [(1, 2)]
+    assert kernels.rank_shared_candidates([one], uni, 1, 8) == nothing
+    assert kernels.rank_shared_candidates([one, one], uni, -1, 8) == \
+        ([1], [2], [5])
 
 
 def test_tie_ordering():
@@ -83,7 +112,7 @@ def test_tie_ordering():
     postings = [np.array([0, 1, 2, 3], dtype=np.intc)]
     uni = np.array([2, 9, 9, 2], dtype=np.int64)
     got = kernels.rank_shared_candidates(postings, uni, -1, 4)
-    assert got == [(1, 1), (2, 1), (0, 1), (3, 1)]
+    assert got == ([1, 2, 0, 3], [1, 1, 1, 1], [9, 9, 2, 2])
 
 
 def test_selected_implementation_exposed():
@@ -110,7 +139,7 @@ class TestOracleCases:
         # Word 2 is in every list; without it the best share only two.
         postings = [[0, 2, 4], [1, 2, 4], [2, 3], [0, 2]]
         self.check(postings, [3, 3, 1, 9, 2], exclude_id=2)
-        assert self.rank(postings, [3, 3, 1, 9, 2], 2, 1) == [(0, 2)]
+        assert self.rank(postings, [3, 3, 1, 9, 2], 2, 1) == ([0], [2], [3])
 
     def test_fewer_nonzero_words_than_k(self):
         self.check([[1, 5], [5]], [1] * 8, exclude_id=-1)
@@ -122,11 +151,13 @@ class TestOracleCases:
         postings = [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [0]]
         uni = [1, 4, 7, 7, 4, 9]
         self.check(postings, uni, exclude_id=-1, ks=(1, 2, 3, 4, 5, 6))
-        assert self.rank(postings, uni, -1, 3) == [(0, 3), (2, 2), (3, 2)]
+        assert self.rank(postings, uni, -1, 3) == \
+            ([0, 2, 3], [3, 2, 2], [1, 7, 7])
 
     def test_every_hit_is_the_excluded_word(self):
         self.check([[3], [3], [3]], [2, 2, 2, 2], exclude_id=3)
-        assert self.rank([[3], [3], [3]], [2, 2, 2, 2], 3, 8) == []
+        assert self.rank([[3], [3], [3]], [2, 2, 2, 2], 3, 8) == \
+            ([], [], [])
 
     def test_k_larger_than_the_vocabulary(self):
         postings = [[0, 1, 2], [1, 2], [2]]

@@ -26,6 +26,7 @@ from asrspell import (BackendError, Candidate, PipelineConfig,
                       RemoteBackend, build_index, correct_transcript,
                       generate_candidates, serve)
 from asrspell import service
+from asrspell.candidates import char_bigrams, shared_bigram_count
 from asrspell.service import MAX_BATCH_BYTES, POSTINGS_CAP
 from tests._synth import large_vocabulary
 from tests.conftest import WORKED_ERROR_TEXT
@@ -902,6 +903,55 @@ class TestLargeVocabularyEquality:
             assert over_http.corrected_text.encode() == \
                 local.corrected_text.encode()
             assert over_http.decisions == local.decisions
+
+
+def test_words_of_256_bigrams_and_more_rank_as_brute_force():
+    """A word with more distinct character bigrams than a uint8 count can
+    hold, against vocabulary words sharing more than 255 of them, ranks
+    the same locally, over HTTP and by scanning the whole vocabulary."""
+    rng = random.Random(19)
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+    long_word = "".join(rng.choice(alphabet) for _ in range(600))
+    assert len(char_bigrams(long_word)) > 300
+
+    def prefix(bigrams):
+        """The shortest prefix of long_word with `bigrams` distinct
+        bigrams."""
+        return next(long_word[:n] for n in range(len(long_word))
+                    if len(char_bigrams(long_word[:n])) == bigrams)
+
+    vocab = {long_word[1:], long_word[:-1], long_word[2:-3], long_word[::-1],
+             long_word[150:] + "z", prefix(255), prefix(256), prefix(300)}
+    vocab |= {"".join(rng.choice(alphabet) for _ in range(rng.randint(2, 8)))
+              for _ in range(400)}
+    counts = {word: rng.randint(1, 3) for word in sorted(vocab)}
+    tokens = [word for word, n in counts.items() for _ in range(n)]
+    rng.shuffle(tokens)
+    index = build_index([" ".join(tokens[i:i + 10])
+                         for i in range(0, len(tokens), 10)])
+    assert dict(index.ngrams(1)) == counts
+    # Out of the vocabulary and in it (so left out of its own ranking),
+    # with 255, 256 and 257 distinct bigrams among others.
+    words = [long_word, long_word[1:], prefix(255), prefix(256),
+             prefix(257), long_word[:40]]
+
+    def brute_force(word):
+        ranked = [Candidate(w, shared_bigram_count(word, w), n)
+                  for w, n in counts.items() if w != word]
+        return sorted((c for c in ranked if c.shared),
+                      key=Candidate.sort_key)[:8]
+
+    expected = [brute_force(word) for word in words]
+    assert [c.shared for c in expected[0]][:2] == [483, 482]
+    assert [c.shared for c in expected[3]][:2] == [256, 256]
+    assert index.rank_by_shared_bigrams(words) == expected
+    srv = _Server(index)
+    remote = RemoteBackend(srv.url)
+    try:
+        assert remote.rank_by_shared_bigrams(words) == expected
+    finally:
+        remote.close()
+        srv.stop()
 
 
 @pytest.mark.parametrize("realword", [False, True])

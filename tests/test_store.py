@@ -13,8 +13,10 @@ import pytest
 
 from asrspell import (IndexFormatError, IndexManifest, build_index,
                       load_index, normalize_token, save_index)
-from asrspell import store
+from asrspell import kernels, store
+from asrspell.candidates import char_bigrams
 from asrspell.store import MANIFEST_FILE, tokenize_line
+from tests._synth import large_vocabulary
 
 _LAST_MANIFEST_LINE = f"normalization_version\t{store.NORMALIZATION_VERSION}\n"
 
@@ -181,6 +183,46 @@ class TestLookups:
         index = build_index("a a b ab")
         assert index.unigram_exists("a")
         assert index.unigrams_containing_bigram("ab") == ["ab"]
+
+    def test_postings_arrays_strictly_ascending(self, worked_index,
+                                                tmp_path):
+        # So each array lists a word once, and the ranking kernel's count
+        # of a word never exceeds the number of arrays.
+        _, lines = large_vocabulary(seed=11)
+        built = build_index(lines)
+        save_index(built, tmp_path / "idx")
+        for index in (worked_index, built, load_index(tmp_path / "idx")):
+            assert index._postings
+            for gram, ids in index._postings.items():
+                assert ids.ndim == 1 and len(ids) > 0, gram
+                assert np.all(np.diff(ids) > 0), gram
+
+    def test_ranking_calls_the_kernel_once_per_word(self, worked_index,
+                                                    monkeypatch):
+        """Each word that shares a bigram with the vocabulary is one call
+        of kernels.rank_shared_candidates, looked up on the module at call
+        time, with that word's postings as its first argument."""
+        words = ["shaws", "shows", "hwas", "shaws", "q", "zqx", "haws"]
+        expected = worked_index.rank_by_shared_bigrams(words)
+        calls = []
+        rank = kernels.rank_shared_candidates
+
+        def spy(postings, *args):
+            calls.append(postings)
+            return rank(postings, *args)
+
+        monkeypatch.setattr(kernels, "rank_shared_candidates", spy)
+        assert worked_index.rank_by_shared_bigrams(words) == expected
+        vocab = sorted(worked_index.vocab)
+        lists = {word: [ids for ids in map(
+                     worked_index.unigrams_containing_bigram,
+                     char_bigrams(word)) if ids] for word in words}
+        ranked = [word for word in words if lists[word]]
+        assert ranked == ["shaws", "shows", "hwas", "shaws", "haws"]
+        assert len(calls) == len(ranked)
+        for word, postings in zip(ranked, calls):
+            assert [[vocab[i] for i in ids] for ids in postings] == \
+                lists[word]
 
     @pytest.mark.parametrize("query", [
         ("the", "zebra"), ("zebra", "cat"), ("zebra",), ("",), ("", "cat"),
