@@ -21,24 +21,30 @@ class Backend(Protocol):
     Both lookup methods are batches, and a bare string where a sequence
     is due is a ValueError, so a string is never read as a sequence of
     characters. A transcript costs one call per pipeline stage, however
-    many errors it has: one ``ngram_count`` for non-word detection, one
-    ``rank_by_shared_bigrams`` for every error's candidates, and one
-    ``ngram_count`` for every error's selection, every backoff order
-    included. The real-word pass adds at most two counts and one
-    ranking. Over HTTP a call is one request per 64 KiB of body.
+    many errors it has: one ``ngram_count`` for non-word detection and
+    one ``rank_by_shared_bigrams`` for every error's candidates and the
+    counts that select among them, every backoff order included. The
+    real-word pass adds at most two counts and one ranking for
+    detection, and one count for the suspects' own words. Over HTTP a
+    call is one request per 64 KiB of body.
+
+    A token is a non-empty string that holds no whitespace; anything else
+    where a token or a word is due is a ValueError, whatever the backend
+    (``store.check_query`` and ``store.check_pairs``).
 
     ``ngram_count`` takes a sequence of queries, each a sequence of
     1..max_order tokens, and returns one raw corpus count per query, in
     order. ``unigram_exists(token)`` equals a count above 0.
 
-    ``rank_by_shared_bigrams`` takes a sequence of words and returns, for
-    each, its top ``TOP_K`` (8) vocabulary words by number of distinct
-    character bigrams shared with it, then corpus frequency, then word.
-    The word itself is never among them, and a word shorter than two
-    characters has none. A word that is empty or holds whitespace is a
-    ValueError (``store.check_words``), whatever the backend.
-    ``unigrams_containing_bigram`` is the sorted postings list of one
-    bigram (capped at 1000 words over HTTP).
+    ``rank_by_shared_bigrams`` takes a sequence of ``(context, word)``
+    pairs, a context being at most ``max_order - 1`` tokens. For each
+    pair it returns the word's top ``TOP_K`` (8) vocabulary words by
+    number of distinct character bigrams shared with it, then corpus
+    frequency, then word, as ``Candidate``s, and the counts of
+    ``selection_queries(context, their words)``, in that order. The word
+    itself is never among them, and a word shorter than two characters
+    has none (and no counts). ``unigrams_containing_bigram`` is the
+    sorted postings list of one bigram (capped at 1000 words over HTTP).
     """
 
     @property
@@ -50,5 +56,6 @@ class Backend(Protocol):
 
     def unigrams_containing_bigram(self, bigram: str) -> list[str]: ...
 
-    def rank_by_shared_bigrams(self, words: Sequence[str]
-                               ) -> list[list[Candidate]]: ...
+    def rank_by_shared_bigrams(
+            self, pairs: Sequence[tuple[Sequence[str], str]]
+    ) -> list[tuple[list[Candidate], list[int]]]: ...

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
+from typing import Sequence
 
 # How many candidates each error keeps.
 TOP_K = 8
@@ -44,6 +45,30 @@ def generate_candidates(error: str, backend) -> list[Candidate]:
     no vocabulary word shares a bigram with the error (callers leave such
     errors uncorrected). The pipeline ranks all of a transcript's errors
     in one ``rank_by_shared_bigrams`` call instead; this is the same
-    ranking for one word.
+    ranking for one word with an empty context.
     """
-    return backend.rank_by_shared_bigrams([error])[0]
+    candidates, _ = backend.rank_by_shared_bigrams([((), error)])[0]
+    return candidates
+
+
+def _orders(prefix: Sequence[str], words: Sequence[str]) -> range:
+    """The orders selection may try, highest first."""
+    if not words:
+        raise ValueError("words must be non-empty")
+    return range(len(prefix) + 1, 0, -1)
+
+
+def selection_queries(prefix: Sequence[str], words: Sequence[str]
+                      ) -> list[tuple[str, ...]]:
+    """The ``ngram_count`` queries whose counts selection reads: every
+    word after `prefix` at every order from the full one down to 1, in
+    word order within an order.
+
+    No context needs counting first: every occurrence of ``context +
+    word`` is an occurrence of ``context``, so a query whose context
+    never occurs already counts 0.
+    """
+    orders = _orders(prefix, words)
+    whole = [(*prefix, word) for word in words]
+    # tokens[-order:] keeps the whole query when order exceeds its own.
+    return [tokens[-order:] for order in orders for tokens in whole]

@@ -6,9 +6,10 @@ when every count is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
-from asrspell.candidates import Candidate
+from asrspell.candidates import Candidate, _orders, selection_queries
 # generate_candidates is not called here; it stays importable from this
 # module for the callers that look it up by this name.
 from asrspell.candidates import generate_candidates  # noqa: F401
@@ -40,29 +41,6 @@ class PipelineConfig:
 class CorrectionResult:
     corrected_text: str
     decisions: list[CorrectionDecision] = field(default_factory=list)
-
-
-def _orders(prefix: Sequence[str], words: Sequence[str]) -> range:
-    """The orders selection may try, highest first."""
-    if not words:
-        raise ValueError("words must be non-empty")
-    return range(len(prefix) + 1, 0, -1)
-
-
-def selection_queries(prefix: Sequence[str], words: Sequence[str]
-                      ) -> list[tuple[str, ...]]:
-    """The ``ngram_count`` queries whose counts :func:`select_correction`
-    reads: every word after `prefix` at every order from the full one
-    down to 1, in word order within an order.
-
-    No context needs counting first: every occurrence of ``context +
-    word`` is an occurrence of ``context``, so a query whose context
-    never occurs already counts 0.
-    """
-    orders = _orders(prefix, words)
-    whole = [(*prefix, word) for word in words]
-    # tokens[-order:] keeps the whole query when order exceeds its own.
-    return [tokens[-order:] for order in orders for tokens in whole]
 
 
 def select_correction(prefix: Sequence[str], words: Sequence[str],
@@ -108,9 +86,11 @@ def correct_transcript(text: str, backend,
     The context window is ``backend.max_order - 1`` tokens, so a shorter
     context comes from an index of lower order.
 
-    The candidates of every error come from one ``rank_by_shared_bigrams``
-    call, and the selection counts of every error from one
-    ``ngram_count`` call, each error reading its own slice of them.
+    Every error's candidates, and the counts selection reads for them,
+    come from one ``rank_by_shared_bigrams`` call over each error's
+    context and token. A real-word suspect's own token competes too; the
+    counts of every suspect's token come from one ``ngram_count`` call,
+    made only when there is a suspect.
     """
     config = config or PipelineConfig()
     window = backend.max_order - 1
@@ -124,29 +104,29 @@ def correct_transcript(text: str, backend,
     if not errors:
         return CorrectionResult(corrected_text=text)
 
-    ranked = backend.rank_by_shared_bigrams([e.token for e in errors])
-    # Per error: its context, the words selection weighs and the bounds of
-    # its slice of the selection counts.
-    plans = []
-    batch: list[tuple[str, ...]] = []
-    for error, candidates in zip(errors, ranked, strict=True):
-        prefix = transcript.context(error.position, window)
-        words = [c.word for c in candidates]
-        if error.kind is ErrorKind.REALWORD_SUSPECT:
-            # The original word competes, ranked first so that ties keep
-            # the text unchanged.
-            words.insert(0, error.token)
-        start = len(batch)
-        if words:
-            batch += selection_queries(prefix, words)
-        plans.append((error, candidates, prefix, words, start, len(batch)))
-    counts = backend.ngram_count(batch) if batch else []
+    contexts = [transcript.context(e.position, window) for e in errors]
+    ranked = backend.rank_by_shared_bigrams(
+        [(context, e.token) for context, e in zip(contexts, errors)])
+    own = [query for error, prefix in zip(errors, contexts)
+           if error.kind is ErrorKind.REALWORD_SUSPECT
+           for query in selection_queries(prefix, [error.token])]
+    own_counts = iter(backend.ngram_count(own) if own else ())
 
     decisions: list[CorrectionDecision] = []
     replacements: list[tuple[int, str]] = []
-    for error, candidates, prefix, words, start, stop in plans:
+    for error, prefix, (candidates, counts) in zip(errors, contexts, ranked,
+                                                   strict=True):
+        words = [c.word for c in candidates]
+        if error.kind is ErrorKind.REALWORD_SUSPECT:
+            # The original word competes, ranked first so that ties keep
+            # the text unchanged: its count goes first at every order.
+            n = len(words)
+            words.insert(0, error.token)
+            counts = [count for at, first in enumerate(
+                          islice(own_counts, len(prefix) + 1))
+                      for count in (first, *counts[at * n:(at + 1) * n])]
         if words:
-            decision = select_correction(prefix, words, counts[start:stop])
+            decision = select_correction(prefix, words, counts)
         else:
             decision = CorrectionDecision(chosen=None, scores={},
                                           backoff_order=1)

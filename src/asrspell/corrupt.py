@@ -19,7 +19,7 @@ from pathlib import Path
 from random import Random
 
 from asrspell.detect import _exempt, splice, tokenize
-from asrspell.store import normalize_token
+from asrspell.store import _digits, normalize_token
 
 log = logging.getLogger(__name__)
 
@@ -159,14 +159,16 @@ def load_ground_truth(path: str | os.PathLike) -> list[CorruptionRecord]:
                 raise ValueError(
                     f"{Path(path)}:{lineno}: expected 4 tab-separated fields")
             position, original, corrupted, kind = parts
+            # int() would also read '+3', ' 4', '1_0' and non-ASCII digits.
+            if not _digits(position):
+                raise ValueError(f"{Path(path)}:{lineno}: position "
+                                 f"{position[:100]!r} is not a run of ASCII "
+                                 f"digits")
             try:
                 record = CorruptionRecord(
                     position=int(position), original=original,
                     corrupted=corrupted, kind=CorruptionKind(kind))
             except ValueError as exc:
                 raise ValueError(f"{Path(path)}:{lineno}: {exc}") from None
-            if record.position < 0:
-                raise ValueError(f"{Path(path)}:{lineno}: negative position "
-                                 f"{record.position}")
             records.append(record)
     return records

@@ -160,8 +160,10 @@ def detect_realword_suspects(transcript: Transcript, backend,
         survivors.append((i, prefix, token, threshold))
     if not survivors:
         return []
-    ranked = backend.rank_by_shared_bigrams(
-        [token for _, _, token, _ in survivors])
+    # Ranked without their contexts: the threshold reads only the full
+    # order, which the one count call below gives.
+    ranked = [cands for cands, _ in backend.rank_by_shared_bigrams(
+        [((), token) for _, _, token, _ in survivors])]
     # Every survivor's candidates in one call, each reading its own run
     # of the counts. A threshold is at least 1, so no candidates flag
     # nothing.

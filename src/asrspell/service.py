@@ -6,10 +6,12 @@ Protocol (HTTP/1.1 with keep-alive, UTF-8, plain text bodies, no auth):
         body: one query per line, its 1..5 tokens space-separated
     POST /v1/candidates              -> one line per word: its top 8
                                         words by shared bigrams, each as
-                                        word<TAB>shared<TAB>count, all
-                                        tab-separated; empty when the
-                                        word has none
-        body: one word per line; no query
+                                        word<TAB>shared<TAB>count, then,
+                                        after a context, their counts
+                                        after it, all tab-separated;
+                                        empty when the word has none
+        body: one word per line, optionally followed by a tab and its
+              context, tokens space-separated; no query
     GET /v1/postings?q=<2 chars>     -> newline-separated words, capped
                                         at 1000
     GET /v1/manifest                 -> manifest TSV
@@ -18,11 +20,16 @@ One route per Backend method: POST /v1/ngram serves ngram_count and
 unigram_exists, POST /v1/candidates rank_by_shared_bigrams, /v1/postings
 unigrams_containing_bigram and /v1/manifest max_order. Both POST routes
 answer a batch, one reply line per body line, in order; the last line
-end of a body is optional.
+end of a body is optional. The counts on a /v1/candidates line are those
+of selection_queries(context, candidate words) above order 1, highest
+order first and candidates in rank order within an order; order 1 is
+each candidate's count, which its triple already carries.
 
 Malformed requests get 400 with a one-line reason; a batch is rejected
 whole, with the number of the first bad line, when any line is
-malformed. Any query on /v1/candidates gets 400 too, so a client that
+malformed. A word and each token of a query or a context must be
+non-empty and hold no whitespace, so a line that ends in CR is malformed
+on both routes. Any query on /v1/candidates gets 400 too, so a client that
 asks for other than the top 8 (k=3, say) fails loudly. A POST without
 Content-Length gets 411 and one whose body is above MAX_BATCH_BYTES
 (64 KiB) gets 413; both close the connection, as the body is left
@@ -72,8 +79,8 @@ from typing import Sequence
 
 from asrspell.backend import BackendError
 from asrspell.candidates import Candidate
-from asrspell.store import (MAX_ORDER, NgramIndex, WordError, _digits,
-                            _number, check_query, check_words)
+from asrspell.store import (MAX_ORDER, BatchItemError, NgramIndex, _digits,
+                            _number, check_pairs, check_query)
 
 log = logging.getLogger(__name__)
 
@@ -231,32 +238,33 @@ def _imf_fixdate(seconds: float) -> str:
 
 
 def _make_handler(index: NgramIndex):
+    def answer(method, batch: list):
+        """`method` of `batch`; an item it rejects is a 400 with the
+        number of its line."""
+        try:
+            return method(batch)
+        except BatchItemError as exc:
+            raise _BadRequest(f"line {exc.position + 1}: {exc}") from None
+
     def ngram_batch(query: str | None, body: bytes) -> str:
-        limit = index.max_order
         queries = [line.split(" ") for line in _body_lines(body)]
-        for lineno, tokens in enumerate(queries, start=1):
-            if "" in tokens:
-                raise _BadRequest(
-                    f"line {lineno}: a query must be 1..{limit} tokens "
-                    f"separated by single spaces")
-            if len(tokens) > limit:
-                raise _BadRequest(f"line {lineno}: query order "
-                                  f"{len(tokens)} exceeds maximum {limit}")
-        return "".join(f"{c}\n" for c in index.ngram_count(queries))
+        return "".join(f"{c}\n" for c in answer(index.ngram_count, queries))
 
     def candidates(query: str | None, body: bytes) -> str:
         if query is not None:
             raise _BadRequest(f"/v1/candidates takes no query, "
                               f"got {query[:100]!r}")
-        try:
-            rankings = index.rank_by_shared_bigrams(_body_lines(body))
-        except WordError as exc:
-            raise _BadRequest(f"line {exc.position + 1}: a word must be "
-                              f"non-empty and hold no whitespace") from None
+        pairs = []
+        for line in _body_lines(body):
+            word, tab, context = line.partition("\t")
+            pairs.append((context.split(" ") if tab else (), word))
+        # Order 1 is each candidate's count, which its triple carries.
         return "".join(
-            "\t".join(f"{c.word}\t{c.shared}\t{c.unigram_count}"
-                      for c in ranked) + "\n"
-            for ranked in rankings)
+            "\t".join([*(f"{c.word}\t{c.shared}\t{c.unigram_count}"
+                         for c in ranked),
+                       *map(str, counts[:len(counts) - len(ranked)])])
+            + "\n" for ranked, counts in answer(
+                index.rank_by_shared_bigrams, pairs))
 
     def postings(query: str | None, body: bytes) -> str:
         params = urllib.parse.parse_qs(query or "", keep_blank_values=True)
@@ -486,11 +494,12 @@ class RemoteBackend:
     """Backend-contract client for a served index.
 
     Every lookup, candidate ranking included, returns what the index would
-    return locally: ranking runs on the server over the whole vocabulary.
-    Only ``unigrams_containing_bigram`` is capped, at 1000 words. Both
-    batch methods post one line per query or word: ``ngram_count`` to
-    ``POST /v1/ngram`` and ``rank_by_shared_bigrams`` to
-    ``POST /v1/candidates``, in requests of at most MAX_BATCH_BYTES each,
+    return locally: ranking and the counts after each context run on the
+    server over the whole vocabulary. Only ``unigrams_containing_bigram``
+    is capped, at 1000 words. Both batch methods post one line per query
+    or pair: ``ngram_count`` to ``POST /v1/ngram`` and
+    ``rank_by_shared_bigrams`` to ``POST /v1/candidates``, in requests of
+    at most MAX_BATCH_BYTES each,
     so a call is one request unless its lines take more than 64 KiB.
     Input the line format cannot carry is a ValueError before anything is
     sent. Each thread keeps one persistent connection, a socket with
@@ -548,16 +557,9 @@ class RemoteBackend:
     def ngram_count(self, queries: Sequence[Sequence[str]]) -> list[int]:
         max_order = self.max_order
         lines = []
-        for tokens in queries:
-            if isinstance(tokens, str) or not 0 < len(tokens) <= max_order:
-                check_query(tokens, max_order)  # raises the ValueError
-            line = " ".join(tokens)
-            # A space inside a token shows as one space too many.
-            if ("" in tokens or "\n" in line
-                    or line.count(" ") != len(tokens) - 1):
-                raise ValueError(f"tokens must be non-empty and hold no "
-                                 f"space or line end: {list(tokens)!r}")
-            lines.append(line)
+        for position, tokens in enumerate(queries):
+            check_query(tokens, max_order, position)
+            lines.append(" ".join(tokens))
         values = self._post_lines("/v1/ngram", lines)
         try:
             return list(map(int, values))
@@ -574,19 +576,30 @@ class RemoteBackend:
             "GET", "/v1/postings?" + urllib.parse.urlencode({"q": bigram}))
         return [line for line in body.split("\n") if line]
 
-    def rank_by_shared_bigrams(self, words: Sequence[str]
-                               ) -> list[list[Candidate]]:
+    def rank_by_shared_bigrams(
+            self, pairs: Sequence[tuple[Sequence[str], str]]
+    ) -> list[tuple[list[Candidate], list[int]]]:
+        pairs = check_pairs(pairs, self)
+        lines = [f"{word}\t{' '.join(context)}" if context else word
+                 for context, word in pairs]
         ranked = []
-        for line in self._post_lines("/v1/candidates", check_words(words)):
+        replies = self._post_lines("/v1/candidates", lines)
+        for (context, _), line in zip(pairs, replies):
             fields = line.split("\t") if line else []
-            triples = list(zip(*[iter(fields)] * 3))
-            if 3 * len(triples) != len(fields) or not all(
+            # Per candidate a triple, and a count at each order above 1.
+            n, extra = divmod(len(fields), 3 + len(context))
+            triples = list(zip(*[iter(fields[:3 * n])] * 3))
+            counts = fields[3 * n:]
+            if extra or not all(
                     word and _digits(shared) and _digits(count)
-                    for word, shared, count in triples):
+                    for word, shared, count in triples) or not all(
+                    map(_digits, counts)):
                 raise BackendError(f"{self._base}/v1/candidates: malformed "
                                    f"reply line {line[:200]!r}")
-            ranked.append([Candidate(word, int(shared), int(count))
-                           for word, shared, count in triples])
+            candidates = [Candidate(word, int(shared), int(count))
+                          for word, shared, count in triples]
+            ranked.append((candidates, [
+                *map(int, counts), *(c.unigram_count for c in candidates)]))
         return ranked
 
     def _post_lines(self, target: str, lines: list[str]) -> list[str]:

@@ -46,7 +46,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from asrspell import kernels
-from asrspell.candidates import TOP_K, Candidate, char_bigrams
+from asrspell.candidates import (TOP_K, Candidate, char_bigrams,
+                                 selection_queries)
 
 log = logging.getLogger(__name__)
 
@@ -156,22 +157,36 @@ class NgramIndex:
         return [len(t) for t in self._tables]
 
     def unigram_exists(self, token: str) -> bool:
-        return token in self._tables[0]
+        return self.ngram_count([(token,)])[0] > 0
 
     def ngram_count(self, queries: Sequence[Sequence[str]]) -> list[int]:
-        """The count of each query, a sequence of 1..max_order tokens."""
+        """The count of each query, a sequence of 1..max_order tokens.
+
+        Every vocabulary word is a token, so only a query with a word
+        outside the vocabulary has its tokens checked; a token that is
+        not a str, is empty or holds whitespace is a
+        :class:`BatchItemError` at its query's position."""
         tables, word_id, bits = self._tables, self._word_id, self._bits
         max_order = len(tables)
         counts = []
         for tokens in queries:
+            # A query's position is the number of counts before it.
             if isinstance(tokens, str) or not 0 < len(tokens) <= max_order:
-                check_query(tokens, max_order)  # raises the ValueError
+                check_query(tokens, max_order, len(counts))  # raises
+            # A miss in the vocabulary, and only a miss, has its tokens
+            # checked: every stored count is at least 1.
             if len(tokens) == 1:
-                counts.append(tables[0].get(tokens[0], 0))
+                count = tables[0].get(tokens[0], 0)
+                if not count:
+                    _check_tokens(tokens, len(counts))
+                counts.append(count)
                 continue
             key = _pack(word_id, bits, tokens)
-            counts.append(0 if key is None
-                          else tables[len(tokens) - 1].get(key, 0))
+            if key is None:
+                _check_tokens(tokens, len(counts))
+                counts.append(0)
+            else:
+                counts.append(tables[len(tokens) - 1].get(key, 0))
         return counts
 
     def ngrams(self, order: int) -> Iterator[tuple[str, int]]:
@@ -216,16 +231,29 @@ class NgramIndex:
             return []
         return [self._words[i] for i in ids]
 
-    def rank_by_shared_bigrams(self, words: Sequence[str]
-                               ) -> list[list[Candidate]]:
-        """Each word's top ``TOP_K`` vocabulary words by distinct shared
-        character bigrams, the word itself left out.
+    def rank_by_shared_bigrams(
+            self, pairs: Sequence[tuple[Sequence[str], str]]
+    ) -> list[tuple[list[Candidate], list[int]]]:
+        """Each ``(context, word)`` pair's top ``TOP_K`` vocabulary words
+        by distinct shared character bigrams, the word itself left out,
+        and their counts after `context`, as ``ngram_count`` gives those
+        of ``selection_queries(context, candidate words)``.
 
         The backend-contract method the pipeline calls once per stage
-        with every error word; the ranking itself runs in
-        :mod:`asrspell.kernels`, once per word.
+        with every error; the ranking itself runs in
+        :mod:`asrspell.kernels`, once per word. Order 1 is each
+        candidate's ``unigram_count``, so only the higher orders are
+        looked up.
         """
-        return [self._rank(word) for word in check_words(words)]
+        ranked = []
+        for context, word in check_pairs(pairs, self):
+            candidates, counts = self._rank(word)
+            if context and candidates:
+                words = [c.word for c in candidates]
+                counts = self.ngram_count(
+                    selection_queries(context, words)[:-len(words)]) + counts
+            ranked.append((candidates, counts))
+        return ranked
 
     def words_sharing_bigrams(self, word: str, min_shared: int
                               ) -> list[str]:
@@ -252,50 +280,96 @@ class NgramIndex:
         postings = self._postings
         return [postings[g] for g in char_bigrams(word) if g in postings]
 
-    def _rank(self, word: str) -> list[Candidate]:
+    def _rank(self, word: str) -> tuple[list[Candidate], list[int]]:
+        """The candidates of `word` and their corpus counts."""
         arrays = self._postings_of(word)
         if not arrays:
-            return []
+            return [], []
         ids, shared, uni = kernels.rank_shared_candidates(
             arrays, self._uni_counts, self._word_id.get(word, -1), TOP_K)
         words = self._words
         return [Candidate(words[wid], s, c)
-                for wid, s, c in zip(ids, shared, uni)]
+                for wid, s, c in zip(ids, shared, uni)], uni
 
 
-def check_query(tokens: Sequence[str], max_order: int) -> None:
-    """Raise ValueError unless `tokens` is a token sequence of order
-    1..max_order. A bare string is rejected rather than read as a
-    sequence of one-character tokens."""
-    if isinstance(tokens, str):
-        raise ValueError(f"a query is a sequence of tokens, not the "
-                         f"string {tokens!r}")
-    if not 1 <= len(tokens) <= max_order:
-        raise ValueError(
-            f"query order {len(tokens)} outside 1..{max_order}")
-
-
-class WordError(ValueError):
-    """A word :func:`check_words` rejects, at index ``position``."""
+class BatchItemError(ValueError):
+    """An item of a batch call that is rejected, at index ``position`` of
+    the batch: line ``position + 1`` of the request body that carries
+    it."""
 
     def __init__(self, message: str, position: int):
         super().__init__(message)
         self.position = position
 
 
-def check_words(words: Sequence[str]) -> list[str]:
-    """`words` as a list; ValueError when `words` is a bare string, and
-    :class:`WordError` for the first word that is empty or holds
-    whitespace, which a line of POST /v1/candidates cannot carry."""
-    if isinstance(words, str):
+def _is_token(value) -> bool:
+    """Whether `value` is a token: a non-empty str that holds no
+    whitespace, as a line of a request body can carry it."""
+    return isinstance(value, str) and value.split() == [value]
+
+
+def _check_tokens(tokens: Sequence[str], position: int) -> None:
+    """Raise :class:`BatchItemError`, at `position`, for the first of
+    `tokens` that is not a token."""
+    try:
+        # Joined by single spaces, tokens split back into themselves.
+        if " ".join(tokens).split() == list(tokens):
+            return
+    except TypeError:  # one is not a str
+        pass
+    token = next(t for t in tokens if not _is_token(t))
+    raise BatchItemError(f"tokens must be non-empty strings and hold no "
+                         f"whitespace: {token!r}", position)
+
+
+def check_query(tokens: Sequence[str], max_order: int,
+                position: int = 0) -> None:
+    """Raise :class:`BatchItemError`, at `position`, unless `tokens` is a
+    sequence of 1..max_order tokens. A bare string is rejected rather
+    than read as a sequence of one-character tokens."""
+    if isinstance(tokens, str):
+        raise BatchItemError(f"a query is a sequence of tokens, not the "
+                             f"string {tokens!r}", position)
+    if not 1 <= len(tokens) <= max_order:
+        raise BatchItemError(
+            f"query order {len(tokens)} outside 1..{max_order}", position)
+    _check_tokens(tokens, position)
+
+
+def check_pairs(pairs: Sequence[tuple[Sequence[str], str]], backend
+                ) -> list[tuple[tuple[str, ...], str]]:
+    """`pairs` as a list of ``(context tuple, word)``.
+
+    A bare string is a ValueError. A word or a context token that is not
+    a token, and a context of more than ``backend.max_order - 1`` tokens,
+    is a :class:`BatchItemError` at its pair's position.
+    ``backend.max_order`` is read at the first non-empty context, after
+    its tokens are checked, so a client asks nothing of its server for
+    input that a request line cannot carry.
+    """
+    if isinstance(pairs, str):
         raise ValueError(f"rank_by_shared_bigrams takes a sequence of "
-                         f"words, not the string {words!r}")
-    words = list(words)
-    for position, word in enumerate(words):
-        if word.split() != [word]:
-            raise WordError(f"words must be non-empty and hold no "
-                            f"whitespace: {word!r}", position)
-    return words
+                         f"(context, word) pairs, not the string {pairs!r}")
+    checked = []
+    window = None
+    for position, (context, word) in enumerate(pairs):
+        if isinstance(context, str):
+            raise BatchItemError(f"a context is a sequence of tokens, not "
+                                 f"the string {context!r}", position)
+        if not _is_token(word):
+            raise BatchItemError(f"words must be non-empty strings and hold "
+                                 f"no whitespace: {word!r}", position)
+        context = tuple(context)
+        if context:
+            _check_tokens(context, position)
+            if window is None:
+                window = backend.max_order - 1
+            if len(context) > window:
+                raise BatchItemError(
+                    f"context of {len(context)} tokens exceeds max_order "
+                    f"- 1 = {window}", position)
+        checked.append((context, word))
+    return checked
 
 
 def _digits(text: str) -> bool:
@@ -621,6 +695,10 @@ def _read_gram_file(path: Path, order: int, word_id: dict[str, int],
             if len(tokens) != order or "" in tokens:
                 raise IndexFormatError(
                     f"{path}:{lineno}: key {key!r} is not a {order}-gram")
+            # Every longer key's tokens are words of 1gram.tsv.
+            if order == 1 and not _is_token(key):
+                raise IndexFormatError(
+                    f"{path}:{lineno}: token {key!r} holds whitespace")
             if not _digits(count_text):
                 raise IndexFormatError(
                     f"{path}:{lineno}: count {count_text!r} is not an integer")

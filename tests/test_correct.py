@@ -235,14 +235,15 @@ class TestSelectionFromOneBatch:
 
     def test_context_lookup_fault_propagates(self, worked_index):
         class FailingContext(CountingBackend):
-            def ngram_count(self, queries):
-                queries = list(queries)
-                if any(tuple(q[:-1]) == ("of", "your", "favorite")
-                       for q in queries):
+            def rank_by_shared_bigrams(self, pairs):
+                pairs = list(pairs)
+                if any(tuple(context[-3:]) == ("of", "your", "favorite")
+                       for context, _ in pairs):
                     raise BackendError("lookup service down")
-                return super().ngram_count(queries)
+                return self._inner.rank_by_shared_bigrams(pairs)
 
-        # The selection batch of "shaws" holds its order-4 queries.
+        # The ranking of "shaws" counts its candidates after its context,
+        # order 4 included.
         with pytest.raises(BackendError):
             correct_transcript(WORKED_ERROR_TEXT,
                                FailingContext(worked_index))
@@ -252,9 +253,9 @@ class TestLookupCalls:
     @pytest.mark.parametrize("max_order", [1, 3, 5])
     def test_call_budget(self, synth_select_corpus, synth_texts, max_order):
         # However many errors: one ngram_count call for non-word detection
-        # when some token is checked, one ranking when there is an error,
-        # and one ngram_count call for selection when some error has
-        # candidates, however far each backs off.
+        # when some token is checked, and one ranking, which also counts
+        # the candidates after each error's context, when there is an
+        # error, however far each backs off.
         _, texts = synth_texts
         index = build_index(synth_select_corpus, max_order=max_order)
         errors = []
@@ -266,22 +267,60 @@ class TestLookupCalls:
                        for d in result.decisions)
             checked = any(not _exempt(t) for t in tokenize(text).tokens)
             found = len(result.decisions)
-            with_candidates = any(d.candidates for d in result.decisions)
             assert backend.calls == Counter({
-                "ngram_count": checked + with_candidates,
+                "ngram_count": checked,
                 "rank_by_shared_bigrams": found > 0,
             }) - Counter()
-            assert sum(backend.calls.values()) == \
-                checked + (found > 0) + with_candidates
+            assert sum(backend.calls.values()) == checked + (found > 0)
             errors.append(found)
         assert sum(errors) >= 16
         assert max(errors) >= 8 and min(errors) == 0
+
+    @pytest.mark.parametrize("max_order", [1, 3, 5])
+    def test_ranking_equals_the_two_step_reference(
+            self, synth_select_corpus, synth_texts, max_order):
+        # Every token of the transcripts after its context, errors and
+        # vocabulary words alike, so that contexts hold words outside the
+        # vocabulary, plus words that share no bigram with any word and
+        # empty contexts. Each ranking and its counts equal the ranking
+        # alone, then the counts of its selection queries, locally and
+        # over HTTP.
+        _, texts = synth_texts
+        index = build_index(synth_select_corpus, max_order=max_order)
+        window = max_order - 1
+        pairs = []
+        for text in texts:
+            transcript = tokenize(text)
+            pairs += [(transcript.context(i, window), token)
+                      for i, token in enumerate(transcript.tokens)]
+        pairs += [(context, word) for context, _ in pairs[:40:8]
+                  for word in ("q", "zqx")]
+        pairs += [((), token) for _, token in pairs[:20]]
+        expected = []
+        for context, word in pairs:
+            candidates = generate_candidates(word, index)
+            words = words_of(candidates)
+            expected.append((candidates, index.ngram_count(
+                selection_queries(context, words)) if words else []))
+        assert index.rank_by_shared_bigrams(pairs) == expected
+        assert any(not candidates for candidates, _ in expected)
+        assert sum(not index.unigram_exists(token)
+                   for context, _ in pairs for token in context) >= (
+            10 if window else 0)
+        srv = _Server(index)
+        remote = RemoteBackend(srv.url)
+        try:
+            assert remote.rank_by_shared_bigrams(pairs) == expected
+        finally:
+            remote.close()
+            srv.stop()
 
     def test_call_budget_with_realword(self, synth_texts):
         # Detection: one count for non-word errors, then for the real-word
         # pass one count, one ranking and one count of the candidates of
         # the tokens whose context is frequent enough. Correction: one
-        # ranking and one count.
+        # ranking, and one count of the suspects' own words when there is
+        # a suspect.
         index, texts = synth_texts
         config = PipelineConfig(realword_enabled=True, realword_margin=1.5)
         suspects = 0
@@ -289,17 +328,18 @@ class TestLookupCalls:
             backend = CountingBackend(index)
             result = correct_transcript(text, backend, config)
             assert result == correct_transcript(text, index, config)
-            assert backend.calls["ngram_count"] <= 4
+            found = sum(d.error.kind is ErrorKind.REALWORD_SUSPECT
+                        for d in result.decisions)
+            assert backend.calls["ngram_count"] <= 3 + (found > 0)
             assert backend.calls["rank_by_shared_bigrams"] <= 2
-            assert sum(backend.calls.values()) <= 6
-            suspects += sum(d.error.kind is ErrorKind.REALWORD_SUSPECT
-                            for d in result.decisions)
+            assert sum(backend.calls.values()) <= 5 + (found > 0)
+            suspects += found
         assert suspects > 0
 
     def test_one_request_per_stage_over_http(self, synth_texts, caplog):
         # Counted on the server, from its request log: one count batch
-        # per transcript for detection, then one candidate ranking and
-        # one count batch for all of its errors together.
+        # per transcript for detection, then one candidate ranking, with
+        # the counts after each context, for all of its errors together.
         index, texts = synth_texts
         srv = _Server(index)
         remote = RemoteBackend(srv.url)
@@ -319,7 +359,7 @@ class TestLookupCalls:
                 assert found == sum(1 for d in result.decisions
                                     if d.candidates)
                 assert requests == Counter({
-                    ("POST", "/v1/ngram"): 1 + (found > 0),
+                    ("POST", "/v1/ngram"): 1,
                     ("POST", "/v1/candidates"): found > 0}) - Counter()
                 assert requests[("GET", "/v1/candidates")] == 0
                 errors.append(found)

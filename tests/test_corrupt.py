@@ -174,10 +174,22 @@ def test_ground_truth_round_trip(index, tmp_path):
 
 
 @pytest.mark.parametrize("line,reason", [
-    ("x\tshows\tshaws\tnonword", "invalid literal for int()"),
+    ("x\tshows\tshaws\tnonword",
+     "position 'x' is not a run of ASCII digits"),
     ("5\tshows\tshaws\tbogus", "'bogus' is not a valid CorruptionKind"),
-    ("-1\tcat\tcaat\tnonword", "negative position -1"),
-], ids=["position", "kind", "negative"])
+    ("-1\tcat\tcaat\tnonword",
+     "position '-1' is not a run of ASCII digits"),
+    # int() reads each of these; a position is ASCII digits only.
+    ("+3\tcat\tcaat\tnonword",
+     "position '+3' is not a run of ASCII digits"),
+    (" 4\tcat\tcaat\tnonword",
+     "position ' 4' is not a run of ASCII digits"),
+    ("\u0663\tcat\tcaat\tnonword",
+     "position '\u0663' is not a run of ASCII digits"),
+    ("1_0\tcat\tcaat\tnonword",
+     "position '1_0' is not a run of ASCII digits"),
+], ids=["position", "kind", "negative", "plus", "space", "arabic-indic",
+        "underscore"])
 def test_ground_truth_errors_name_file_and_line(tmp_path, line, reason):
     path = tmp_path / "truth.tsv"
     path.write_text(f"0\tcat\tcaat\tnonword\n\n{line}\n", encoding="utf-8")

@@ -349,9 +349,10 @@ class TestRealwordContextBound:
     def test_survivors_ranked_in_one_call(self, synth_case, window_index,
                                           window):
         class RecordingBackend(CountingBackend):
-            def rank_by_shared_bigrams(self, words):
-                batches.append(len(words))
-                return self._inner.rank_by_shared_bigrams(words)
+            def rank_by_shared_bigrams(self, pairs):
+                batches.append(len(pairs))
+                assert all(context == () for context, _ in pairs)
+                return self._inner.rank_by_shared_bigrams(pairs)
 
         _, transcripts = synth_case
         index = window_index[window]

@@ -26,7 +26,8 @@ from asrspell import (BackendError, Candidate, PipelineConfig,
                       RemoteBackend, build_index, correct_transcript,
                       generate_candidates, serve)
 from asrspell import service
-from asrspell.candidates import char_bigrams, shared_bigram_count
+from asrspell.candidates import (char_bigrams, selection_queries,
+                                 shared_bigram_count)
 from asrspell.service import MAX_BATCH_BYTES, POSTINGS_CAP
 from tests._synth import large_vocabulary
 from tests.conftest import WORKED_ERROR_TEXT
@@ -173,9 +174,20 @@ class TestRemoteBackend:
 
     @pytest.mark.parametrize("token", ["", "two words", "line\nend"])
     def test_token_that_breaks_the_line_format_rejected(self, remote,
+                                                        worked_index,
                                                         token):
-        with pytest.raises(ValueError, match="space or line end"):
-            remote.ngram_count([("favorite", token)])
+        # The same ValueError from both backends, at the query's position.
+        for backend in (remote, worked_index):
+            with pytest.raises(ValueError, match="hold no whitespace") as info:
+                backend.ngram_count([("shows",), ("favorite", token)])
+            assert info.value.position == 1
+
+    @pytest.mark.parametrize("token", ["", "two words", 5])
+    def test_unigram_exists_takes_the_token_rule(self, remote, worked_index,
+                                                 token):
+        for backend in (remote, worked_index):
+            with pytest.raises(ValueError, match="hold no whitespace"):
+                backend.unigram_exists(token)
 
     def test_bigram_validation(self, remote):
         with pytest.raises(ValueError):
@@ -183,8 +195,12 @@ class TestRemoteBackend:
 
     def test_rank_batch_matches_local(self, remote, worked_index):
         words = sorted(worked_index.vocab) + ["shaws", "hwas", "q", "qq"]
-        assert remote.rank_by_shared_bigrams(words) == \
-            worked_index.rank_by_shared_bigrams(words)
+        contexts = [(), ("favorite",), ("your", "favorite"),
+                    ("episodes", "of", "your", "favorite"),
+                    ("zebra", "of", "your", "favorite")]
+        pairs = [(context, word) for context in contexts for word in words]
+        assert remote.rank_by_shared_bigrams(pairs) == \
+            worked_index.rank_by_shared_bigrams(pairs)
         assert remote.rank_by_shared_bigrams([]) == []
 
 
@@ -290,24 +306,57 @@ def fresh(counted):
 
 
 def candidate_lines(ranked):
-    """The /v1/candidates reply to the words whose rankings are `ranked`."""
+    """The /v1/candidates reply to the pairs whose rankings are `ranked`:
+    the candidate triples, then the counts above order 1."""
     return "".join(
-        "\t".join(f"{c.word}\t{c.shared}\t{c.unigram_count}" for c in cands)
-        + "\n" for cands in ranked)
+        "\t".join([*(f"{c.word}\t{c.shared}\t{c.unigram_count}"
+                     for c in cands),
+                   *map(str, counts[:len(counts) - len(cands)])]) + "\n"
+        for cands, counts in ranked)
 
 
 class TestCandidatesEndpoint:
     def test_matches_local_ranking(self, base_url, worked_index):
         words = ["shaws", "haws", "shows", "hwas", "shaws", "q"]
         body = "".join(w + "\n" for w in words).encode()
-        expected = worked_index.rank_by_shared_bigrams(words)
+        expected = worked_index.rank_by_shared_bigrams(
+            [((), w) for w in words])
         assert fetch(f"{base_url}/v1/candidates", body) == \
             (200, candidate_lines(expected))
         # The top 8 of each word's 11, 10, 8, 1, 11 and 0 partners.
-        assert [len(cands) for cands in expected] == [8, 8, 8, 1, 8, 0]
+        assert [len(cands) for cands, _ in expected] == [8, 8, 8, 1, 8, 0]
         # The word itself is never its own candidate.
         assert all(w not in [c.word for c in cands]
-                   for w, cands in zip(words, expected))
+                   for w, (cands, _) in zip(words, expected))
+
+    def test_context_adds_the_counts_after_it(self, base_url, worked_index):
+        body = (b"shaws\tepisodes of your favorite\nhwas\tfavorite\n"
+                b"q\tyour favorite\nshaws\n")
+        pairs = [(("episodes", "of", "your", "favorite"), "shaws"),
+                 (("favorite",), "hwas"), (("your", "favorite"), "q"),
+                 ((), "shaws")]
+        expected = worked_index.rank_by_shared_bigrams(pairs)
+        assert fetch(f"{base_url}/v1/candidates", body) == \
+            (200, candidate_lines(expected))
+        # "shows" after "episodes of your favorite", "of your favorite"
+        # and "your favorite", then "favorite"; "hwas" has one candidate.
+        line = candidate_lines(expected[:1]).rstrip("\n").split("\t")
+        assert len(line) == 8 * 3 + 8 * 4
+        rank = line[:24:3].index("shows")
+        assert line[24 + rank::8] == ["7", "7", "7", "7"]
+        assert candidate_lines(expected[1:2]).count("\t") == 3
+
+    @pytest.mark.parametrize("body,line", [
+        (b"shaws\tyour favorite\nshaws\ta b c d e\n", 2),
+        (b"shaws\tyour  favorite\n", 1), (b"shaws\t\n", 1),
+        (b"shaws\tyour\tfavorite\n", 1), (b"shaws\t favorite\n", 1),
+        (b"shaws\n\tfavorite\n", 2), (b"shaws\tfavorite\r\n", 1),
+    ])
+    def test_malformed_context_gets_400_with_line(self, base_url, body,
+                                                  line):
+        status, reason = fetch_error(f"{base_url}/v1/candidates", body)
+        assert status == 400
+        assert reason.startswith(f"line {line}: ")
 
     def test_no_shared_bigram_is_empty(self, base_url):
         assert fetch(f"{base_url}/v1/candidates", b"zqx\nq\nzqx\n") == \
@@ -315,8 +364,8 @@ class TestCandidatesEndpoint:
         assert fetch(f"{base_url}/v1/candidates", b"") == (200, "")
 
     def test_last_line_end_is_optional(self, base_url, worked_index):
-        expected = candidate_lines(
-            worked_index.rank_by_shared_bigrams(["shaws", "hwas"]))
+        expected = candidate_lines(worked_index.rank_by_shared_bigrams(
+            [((), "shaws"), ((), "hwas")]))
         assert fetch(f"{base_url}/v1/candidates", b"shaws\nhwas") == \
             (200, expected)
 
@@ -405,8 +454,8 @@ class TestConnections:
         # Requests the server refuses, as from a client that asks for k.
         with pytest.raises(ValueError, match="rejected query"):
             fresh._call("POST", "/v1/candidates?k=3", b"shaws\n")
-        assert fresh.rank_by_shared_bigrams(["aw"]) == \
-            worked_index.rank_by_shared_bigrams(["aw"])
+        assert fresh.rank_by_shared_bigrams([((), "aw")]) == \
+            worked_index.rank_by_shared_bigrams([((), "aw")])
         with pytest.raises(ValueError, match="rejected query"):
             fresh._call("POST", "/v1/candidates?k=8", b"shaws\n")
         assert fresh.ngram_count([["favorite", "shows"]]) == [7]
@@ -428,7 +477,7 @@ class TestConnections:
         with pytest.raises(BackendError):
             remote.ngram_count([["shows"]])
         with pytest.raises(BackendError):
-            remote.rank_by_shared_bigrams(["aw"])
+            remote.rank_by_shared_bigrams([((), "aw")])
         remote.close()
 
     def test_threads_share_one_backend(self, counted, fresh,
@@ -518,6 +567,8 @@ class TestRankInputChecks:
         for backend in (worked_index, fresh):
             with pytest.raises(ValueError, match="not the string 'shaws'"):
                 backend.rank_by_shared_bigrams("shaws")
+            with pytest.raises(ValueError, match="not the string 'your'"):
+                backend.rank_by_shared_bigrams([("your", "shaws")])
         assert counted.accepted == []
 
     @pytest.mark.parametrize("word", ["", "two words", "line\nend",
@@ -525,12 +576,32 @@ class TestRankInputChecks:
                                       "no\xa0break"])
     def test_word_the_line_format_cannot_carry(self, counted, fresh,
                                                worked_index, word):
-        # Rejected by both backends, by the client before anything is
-        # sent.
+        # Rejected by both backends, as a word and as a context token, by
+        # the client before anything is sent.
         for backend in (worked_index, fresh):
-            with pytest.raises(ValueError, match="whitespace"):
-                backend.rank_by_shared_bigrams(["shaws", word])
+            for pair in [((), word), (("your", word), "shaws")]:
+                with pytest.raises(ValueError, match="whitespace") as info:
+                    backend.rank_by_shared_bigrams([((), "shaws"), pair])
+                assert info.value.position == 1
         assert counted.accepted == []
+
+    def test_context_longer_than_the_window(self, counted, fresh,
+                                            worked_index):
+        # Four tokens is the window of a 5-gram index.
+        four = ("episodes", "of", "your", "favorite")
+        for backend in (worked_index, fresh):
+            assert backend.rank_by_shared_bigrams([(four, "shaws")]) == \
+                worked_index.rank_by_shared_bigrams([(four, "shaws")])
+            with pytest.raises(ValueError, match="context of 5 tokens "
+                                                 "exceeds max_order - 1 = 4"):
+                backend.rank_by_shared_bigrams(
+                    [((), "shaws"), (("watch", *four), "shaws")])
+        # The server checks the same bound, at the line of the context.
+        status, reason = fetch_error(
+            f"{counted.url}/v1/candidates",
+            b"shaws\nshaws\twatch episodes of your favorite\n")
+        assert (status, reason) == (400, "line 2: context of 5 tokens "
+                                         "exceeds max_order - 1 = 4\n")
 
 
 def _post_raw(port, headers, body=b"", path="/v1/ngram"):
@@ -622,6 +693,18 @@ class TestBatchEndpoint:
         status, reason = fetch_error(f"{base_url}/v1/ngram", body)
         assert status == 400
         assert reason.strip()
+
+    @pytest.mark.parametrize("body,line", [
+        (b"the cat\r\nthe\r\n", 1), (b"shows\nfavorite\tshows\n", 2),
+        (b"shows\nfavorite shows\r\n", 2), (b"shows\nno\xc2\xa0break\n", 2),
+    ])
+    def test_token_holding_whitespace_gets_400_with_line(self, base_url,
+                                                         body, line):
+        # A CR line end stays in the last token, which then holds
+        # whitespace: the same rule as on /v1/candidates, never a 0.
+        status, reason = fetch_error(f"{base_url}/v1/ngram", body)
+        assert status == 400
+        assert reason.startswith(f"line {line}: tokens must be non-empty")
 
     def test_order_above_max_order_gets_400(self):
         srv = _Server(build_index("a b c d", max_order=3))
@@ -784,12 +867,36 @@ def test_reply_of_wrong_shape_is_a_backend_error(fake_reply, reply):
 ])
 def test_candidates_of_wrong_shape_are_a_backend_error(fake_reply, reply):
     remote, replies = fake_reply
+    pairs = [((), "shaws"), ((), "zq")]
     replies["/v1/candidates"] = b"haws\t3\t1\tshows\t2\t7\n\n"
-    assert remote.rank_by_shared_bigrams(["shaws", "zq"]) == [
-        [Candidate("haws", 3, 1), Candidate("shows", 2, 7)], []]
+    assert remote.rank_by_shared_bigrams(pairs) == [
+        ([Candidate("haws", 3, 1), Candidate("shows", 2, 7)], [1, 7]),
+        ([], [])]
     replies["/v1/candidates"] = reply
     with pytest.raises(BackendError, match="/v1/candidates"):
-        remote.rank_by_shared_bigrams(["shaws", "zq"])
+        remote.rank_by_shared_bigrams(pairs)
+
+
+@pytest.mark.parametrize("reply", [
+    b"haws\t3\t1\tshows\t2\t7\n\n", b"haws\t3\t1\tshows\t2\t7\t0\n\n",
+    b"haws\t3\t1\tshows\t2\t7\t0\t5\t0\n\n",
+    b"haws\t3\t1\tshows\t2\t7\t0\t5\t0\t5\t1\n\n",
+    b"haws\t3\t1\tshows\t2\t7\t0\tfive\n\n",
+    b"haws\t3\t1\tshows\t2\t7\t0\t-5\n\n",
+    b"haws\t3\t1\tshows\t2\t7\t0\t5\n0\n",
+])
+def test_counts_of_wrong_number_are_a_backend_error(fake_reply, reply):
+    # After a one-token context, each candidate has one count above
+    # order 1: a line with fewer or more is a fault, never a zero.
+    remote, replies = fake_reply
+    pairs = [(("favorite",), "shaws"), (("favorite",), "zq")]
+    replies["/v1/candidates"] = b"haws\t3\t1\tshows\t2\t7\t0\t5\n\n"
+    assert remote.rank_by_shared_bigrams(pairs) == [
+        ([Candidate("haws", 3, 1), Candidate("shows", 2, 7)], [0, 5, 1, 7]),
+        ([], [])]
+    replies["/v1/candidates"] = reply
+    with pytest.raises(BackendError, match="/v1/candidates"):
+        remote.rank_by_shared_bigrams(pairs)
 
 
 @pytest.mark.parametrize("body,lines_ok", [
@@ -865,12 +972,19 @@ class TestLargeVocabularyEquality:
         words = sorted(errors) + rng.sample(sorted(index.vocab), 30) + \
             ["a", "b", "e", "ab"]
         rng.shuffle(words)
-        got = remote.rank_by_shared_bigrams(words)
-        assert got == index.rank_by_shared_bigrams(words)
-        for word, ranked in zip(words, got):
+        # A context of vocabulary words, or with a word outside it.
+        contexts = [tuple(rng.sample(sorted(index.vocab), rng.randint(0, 4)))
+                    for _ in words]
+        contexts[::7] = [(*c[:-1], "zzzz") for c in contexts[::7]]
+        pairs = list(zip(contexts, words))
+        got = remote.rank_by_shared_bigrams(pairs)
+        assert got == index.rank_by_shared_bigrams(pairs)
+        for (context, word), (ranked, counts) in zip(pairs, got):
             assert ranked == generate_candidates(word, index)
             assert (ranked == []) == (len(word) < 2), word
             assert word not in [c.word for c in ranked]
+            assert counts == (index.ngram_count(selection_queries(
+                context, [c.word for c in ranked])) if ranked else [])
 
     def test_batch_above_the_limit_is_split_in_order(self, large,
                                                      monkeypatch):
@@ -881,8 +995,9 @@ class TestLargeVocabularyEquality:
                  for _ in range(1200)]
         assert sum(len(w) + 1 for w in words) > MAX_BATCH_BYTES
         sent = record_requests(remote, monkeypatch)
-        assert remote.rank_by_shared_bigrams(words) == \
-            index.rank_by_shared_bigrams(words)
+        pairs = [((), word) for word in words]
+        assert remote.rank_by_shared_bigrams(pairs) == \
+            index.rank_by_shared_bigrams(pairs)
         bodies = [body for _, body in sent]
         assert len(bodies) == 2
         assert_cut_full(bodies)
@@ -941,14 +1056,21 @@ def test_words_of_256_bigrams_and_more_rank_as_brute_force():
         return sorted((c for c in ranked if c.shared),
                       key=Candidate.sort_key)[:8]
 
-    expected = [brute_force(word) for word in words]
-    assert [c.shared for c in expected[0]][:2] == [483, 482]
-    assert [c.shared for c in expected[3]][:2] == [256, 256]
-    assert index.rank_by_shared_bigrams(words) == expected
+    # Each word after a context of vocabulary words, and after none.
+    context = tuple(tokens[:4])
+    pairs = [(c, word) for word in words for c in (context, ())]
+    expected = []
+    for c, word in pairs:
+        ranked = brute_force(word)
+        expected.append((ranked, index.ngram_count(selection_queries(
+            c, [r.word for r in ranked]))))
+    assert [c.shared for c in expected[0][0]][:2] == [483, 482]
+    assert [c.shared for c in expected[6][0]][:2] == [256, 256]
+    assert index.rank_by_shared_bigrams(pairs) == expected
     srv = _Server(index)
     remote = RemoteBackend(srv.url)
     try:
-        assert remote.rank_by_shared_bigrams(words) == expected
+        assert remote.rank_by_shared_bigrams(pairs) == expected
     finally:
         remote.close()
         srv.stop()
@@ -997,7 +1119,8 @@ def test_query_checks_hold_under_python_O():
         remote = RemoteBackend(f"http://127.0.0.1:{srv.server_address[1]}")
         queries = {"string": "shows", "order 0": (),
                    "order 4": ("your",) * 4, "space": ("your favorite",),
-                   "line end": ("shows\\n",)}
+                   "line end": ("shows\\n",), "empty": ("your", ""),
+                   "number": (5,)}
         for backend in (index, remote):
             for name, query in queries.items():
                 try:
@@ -1012,26 +1135,27 @@ def test_query_checks_hold_under_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "NgramIndex string: a query is a sequence of tokens, not the "
-        "string 'shows'",
-        "NgramIndex order 0: query order 0 outside 1..3",
-        "NgramIndex order 4: query order 4 outside 1..3",
-        "RemoteBackend string: a query is a sequence of tokens, not the "
-        "string 'shows'",
-        "RemoteBackend order 0: query order 0 outside 1..3",
-        "RemoteBackend order 4: query order 4 outside 1..3",
-        "RemoteBackend space: tokens must be non-empty and hold no space "
-        "or line end: ['your favorite']",
-        "RemoteBackend line end: tokens must be non-empty and hold no "
-        "space or line end: ['shows\\n']",
-    ]
+        f"{backend} {line}" for backend in ("NgramIndex", "RemoteBackend")
+        for line in (
+            "string: a query is a sequence of tokens, not the string "
+            "'shows'",
+            "order 0: query order 0 outside 1..3",
+            "order 4: query order 4 outside 1..3",
+            "space: tokens must be non-empty strings and hold no "
+            "whitespace: 'your favorite'",
+            "line end: tokens must be non-empty strings and hold no "
+            "whitespace: 'shows\\n'",
+            "empty: tokens must be non-empty strings and hold no "
+            "whitespace: ''",
+            "number: tokens must be non-empty strings and hold no "
+            "whitespace: 5")]
 
 
 def test_rank_checks_hold_under_python_O():
     """Both rank_by_shared_bigrams implementations check their input
-    with one function, so they reject the same input, words the line
-    format cannot carry included, when assert statements are
-    stripped."""
+    with one function, so they reject the same input, words and context
+    tokens the line format cannot carry and contexts longer than the
+    index's window included, when assert statements are stripped."""
     code = """if True:
         import threading
         from asrspell import RemoteBackend, build_index, serve
@@ -1039,12 +1163,15 @@ def test_rank_checks_hold_under_python_O():
         srv = serve(index, port=0)
         threading.Thread(target=srv.serve_forever, daemon=True).start()
         remote = RemoteBackend(f"http://127.0.0.1:{srv.server_address[1]}")
-        calls = {"string": "shows", "empty": ["shows", ""],
-                 "space": ["your favorite"]}
+        calls = {"string": "shows", "empty": [((), "shows"), ((), "")],
+                 "space": [((), "your favorite")],
+                 "context string": [("your", "shows")],
+                 "context token": [(("your", "a b"), "shows")],
+                 "context length": [(("a", "your", "favorite"), "shows")]}
         for backend in (index, remote):
-            for name, words in calls.items():
+            for name, pairs in calls.items():
                 try:
-                    backend.rank_by_shared_bigrams(words)
+                    backend.rank_by_shared_bigrams(pairs)
                 except ValueError as exc:
                     print(f"{type(backend).__name__} {name}: {exc}")
         srv.shutdown()
@@ -1057,11 +1184,18 @@ def test_rank_checks_hold_under_python_O():
     assert proc.stdout.splitlines() == [
         f"{backend} {line}" for backend in ("NgramIndex", "RemoteBackend")
         for line in (
-            "string: rank_by_shared_bigrams takes a sequence of words, "
-            "not the string 'shows'",
-            "empty: words must be non-empty and hold no whitespace: ''",
-            "space: words must be non-empty and hold no whitespace: "
-            "'your favorite'")]
+            "string: rank_by_shared_bigrams takes a sequence of (context, "
+            "word) pairs, not the string 'shows'",
+            "empty: words must be non-empty strings and hold no "
+            "whitespace: ''",
+            "space: words must be non-empty strings and hold no "
+            "whitespace: 'your favorite'",
+            "context string: a context is a sequence of tokens, not the "
+            "string 'your'",
+            "context token: tokens must be non-empty strings and hold no "
+            "whitespace: 'a b'",
+            "context length: context of 3 tokens exceeds max_order - 1 "
+            "= 2")]
 
 
 def test_connections_over_the_worker_cap_get_503(worked_index, caplog):
@@ -1462,8 +1596,8 @@ def test_each_message_is_one_send(counted, fresh, worked_index,
     monkeypatch.setattr(socket.socket, "send", unexpected)
     assert fresh.max_order == 5
     assert fresh.ngram_count([["shows"], ["favorite", "shows"]]) == [7, 7]
-    assert fresh.rank_by_shared_bigrams(["shaws"]) == \
-        worked_index.rank_by_shared_bigrams(["shaws"])
+    assert fresh.rank_by_shared_bigrams([((), "shaws")]) == \
+        worked_index.rank_by_shared_bigrams([((), "shaws")])
     with pytest.raises(ValueError, match="rejected query"):
         fresh._call("POST", "/v1/candidates?k=1", b"shaws\n")
     requests = [data for data in sent if not data.startswith(b"HTTP/")]

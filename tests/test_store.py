@@ -14,7 +14,8 @@ import pytest
 from asrspell import (IndexFormatError, IndexManifest, build_index,
                       load_index, normalize_token, save_index)
 from asrspell import kernels, store
-from asrspell.candidates import char_bigrams
+from asrspell.candidates import (char_bigrams, generate_candidates,
+                                 selection_queries)
 from asrspell.store import MANIFEST_FILE, tokenize_line
 from tests._synth import large_vocabulary
 
@@ -201,9 +202,12 @@ class TestLookups:
                                                     monkeypatch):
         """Each word that shares a bigram with the vocabulary is one call
         of kernels.rank_shared_candidates, looked up on the module at call
-        time, with that word's postings as its first argument."""
+        time, with that word's postings as its first argument. Counting
+        the candidates after a context calls it no more."""
         words = ["shaws", "shows", "hwas", "shaws", "q", "zqx", "haws"]
-        expected = worked_index.rank_by_shared_bigrams(words)
+        pairs = [(("your", "favorite")[:i % 3], w)
+                 for i, w in enumerate(words)]
+        expected = worked_index.rank_by_shared_bigrams(pairs)
         calls = []
         rank = kernels.rank_shared_candidates
 
@@ -212,7 +216,7 @@ class TestLookups:
             return rank(postings, *args)
 
         monkeypatch.setattr(kernels, "rank_shared_candidates", spy)
-        assert worked_index.rank_by_shared_bigrams(words) == expected
+        assert worked_index.rank_by_shared_bigrams(pairs) == expected
         vocab = sorted(worked_index.vocab)
         lists = {word: [ids for ids in map(
                      worked_index.unigrams_containing_bigram,
@@ -225,11 +229,64 @@ class TestLookups:
                 lists[word]
 
     @pytest.mark.parametrize("query", [
-        ("the", "zebra"), ("zebra", "cat"), ("zebra",), ("",), ("", "cat"),
-        ("the", ""), ("the cat",), ("the cat", "sat"), ("the", "cat sat"),
-        ("the", "cat", "sat "), (" the", "cat")])
+        ("the", "zebra"), ("zebra", "cat"), ("zebra",), ("sat", "the"),
+        ("thecat",), ("cat", "the", "sat"), ("the", "cat", "zebra"),
+        ("zebra", "cat", "sat"), ("ran", "sat"), ("the", "cat", "ran", "the"),
+        ("sat", "ran")])
     def test_absent_queries_count_zero(self, tiny_index, query):
         assert tiny_index.ngram_count([query]) == [0]
+
+    @pytest.mark.parametrize("query", [
+        ("",), ("", "cat"), ("the", ""), ("the cat",), ("the cat", "sat"),
+        ("the", "cat sat"), ("the", "cat", "sat "), (" the", "cat"),
+        ("a\nb",), ("cat\r",), ("no\xa0break",), (5,), ("the", 5)])
+    def test_query_of_a_non_token_rejected(self, tiny_index, query):
+        # A token is a non-empty string without whitespace, which a vocabulary
+        # word always is: only a miss is checked, and it is a ValueError
+        # at the query's position, never a count of 0.
+        with pytest.raises(store.BatchItemError,
+                           match="tokens must be non-empty") as info:
+            tiny_index.ngram_count([("the",), ("cat", "sat"), query])
+        assert info.value.position == 2
+
+    def test_context_counts_equal_the_two_step_reference(self, worked_index):
+        contexts = [(), ("favorite",), ("your", "favorite"),
+                    ("episodes", "of", "your", "favorite"),
+                    ("zebra", "of"), ("of", "zebra")]
+        words = ["shaws", "hwas", "q", "zqx", "shows"]
+        pairs = [(c, w) for c in contexts for w in words]
+        got = worked_index.rank_by_shared_bigrams(pairs)
+        for (context, word), (candidates, counts) in zip(pairs, got,
+                                                         strict=True):
+            assert candidates == generate_candidates(word, worked_index)
+            assert counts == (worked_index.ngram_count(selection_queries(
+                context, [c.word for c in candidates])) if candidates else [])
+
+    @pytest.mark.parametrize("pair,message", [
+        (("a b c d e".split(), "shaws"), "context of 5 tokens exceeds "
+                                          "max_order - 1 = 4"),
+        (("favorite", "shaws"), "a context is a sequence of tokens, not "
+                                "the string 'favorite'"),
+        ((("your", ""), "shaws"), "tokens must be non-empty"),
+        ((("your favorite",), "shaws"), "tokens must be non-empty"),
+        ((("favorite\r",), "shaws"), "tokens must be non-empty"),
+        ((("favorite",), "two words"), "words must be non-empty"),
+        ((("favorite",), 5), "words must be non-empty"),
+    ])
+    def test_bad_pair_rejected_at_its_position(self, worked_index, pair,
+                                              message):
+        with pytest.raises(store.BatchItemError, match=message) as info:
+            worked_index.rank_by_shared_bigrams([((), "shaws"), pair])
+        assert info.value.position == 1
+
+    def test_context_bound_follows_max_order(self):
+        index = build_index("your favorite shows", max_order=3)
+        assert index.rank_by_shared_bigrams([(("your", "favorite"), "shaws")])
+        for order, context in [(1, ("favorite",)), (3, ("a", "b", "c"))]:
+            with pytest.raises(ValueError, match=f"max_order - 1 = "
+                                                 f"{order - 1}"):
+                build_index("your favorite shows", max_order=order) \
+                    .rank_by_shared_bigrams([(context, "shaws")])
 
     @pytest.mark.parametrize("vocab_size", BOUNDARY_VOCAB_SIZES)
     def test_packed_counts_exact_at_id_width_boundary(self, vocab_size,
@@ -306,7 +363,7 @@ class TestPersistence:
         # Tokens that hold characters below the space, "\0" among them,
         # are where the joined string's order and the token order differ.
         tokens = ["a", "a\x01", "\x00b", "b", "a\x00", "\x00", "ab",
-                  "\x1fz", "a!"]
+                  "\x1bz", "a!"]
         rng = random.Random(9)
         tables = [dict.fromkeys(tokens, 1)]
         for k in range(2, 6):
@@ -433,6 +490,20 @@ class TestPersistence:
             load_index(tmp_path / "idx")
         assert str(info.value) == (f"{path}:{len(lines) + 1}: token 'zebra' "
                                    f"is not in 1gram.tsv")
+
+    @pytest.mark.parametrize("token", ["a\xa0b", "a\rb", "a\x1fb", "cat\x0b"])
+    def test_token_holding_whitespace_rejected(self, tiny_index, tmp_path,
+                                               token):
+        # A lookup checks a token only when it misses the vocabulary, so
+        # every word of 1gram.tsv must be a token.
+        save_index(tiny_index, tmp_path / "idx")
+        path = tmp_path / "idx" / "1gram.tsv"
+        path.write_text(path.read_text(encoding="utf-8")
+                        + f"{token}\t1\n", encoding="utf-8")
+        with pytest.raises(IndexFormatError) as info:
+            load_index(tmp_path / "idx")
+        assert str(info.value) == \
+            f"{path}:5: token {token!r} holds whitespace"
 
     def test_unigram_total_mismatch(self, tiny_index, tmp_path):
         save_index(tiny_index, tmp_path / "idx")
