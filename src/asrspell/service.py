@@ -75,6 +75,7 @@ import threading
 import time
 import urllib.parse
 import weakref
+from itertools import chain
 from typing import Sequence
 
 from asrspell.backend import BackendError
@@ -490,6 +491,33 @@ def _body_lines(body: bytes) -> list[str]:
     return lines
 
 
+def _query_lines(queries: Sequence[Sequence[str]], max_order: int
+                 ) -> list[str]:
+    """Each query as a request line, its tokens joined by single spaces.
+
+    The batch is checked at once: its lines, joined and split back at
+    whitespace, give its tokens exactly when each is a non-empty str
+    without whitespace. Only a batch that fails this, or holds a query
+    that is a str or not of order 1..max_order, is checked query by query
+    with ``check_query``, which names the first bad one.
+    """
+    queries = list(queries)
+    try:
+        lines = list(map(" ".join, queries))
+        orders = list(map(len, queries))
+        if (not any(issubclass(kind, str) for kind in set(map(type, queries)))
+                and 0 < min(orders, default=1)
+                and max(orders, default=0) <= max_order
+                and "\n".join(lines).split()
+                == list(chain.from_iterable(queries))):
+            return lines
+    except TypeError:  # a token that is not a str, or a query no sequence
+        pass
+    for position, tokens in enumerate(queries):
+        check_query(tokens, max_order, position)
+    return [" ".join(tokens) for tokens in queries]
+
+
 class RemoteBackend:
     """Backend-contract client for a served index.
 
@@ -555,12 +583,8 @@ class RemoteBackend:
         return self.ngram_count([(token,)])[0] > 0
 
     def ngram_count(self, queries: Sequence[Sequence[str]]) -> list[int]:
-        max_order = self.max_order
-        lines = []
-        for position, tokens in enumerate(queries):
-            check_query(tokens, max_order, position)
-            lines.append(" ".join(tokens))
-        values = self._post_lines("/v1/ngram", lines)
+        values = self._post_lines("/v1/ngram",
+                                  _query_lines(queries, self.max_order))
         try:
             return list(map(int, values))
         except ValueError:

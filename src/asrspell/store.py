@@ -46,8 +46,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from asrspell import kernels
-from asrspell.candidates import (TOP_K, Candidate, char_bigrams,
-                                 selection_queries)
+from asrspell.candidates import TOP_K, Candidate, char_bigrams
 
 log = logging.getLogger(__name__)
 
@@ -166,7 +165,8 @@ class NgramIndex:
         outside the vocabulary has its tokens checked; a token that is
         not a str, is empty or holds whitespace is a
         :class:`BatchItemError` at its query's position."""
-        tables, word_id, bits = self._tables, self._word_id, self._bits
+        tables, bits = self._tables, self._bits
+        unigram, word_id = tables[0].get, self._word_id.get
         max_order = len(tables)
         counts = []
         for tokens in queries:
@@ -176,15 +176,19 @@ class NgramIndex:
             # A miss in the vocabulary, and only a miss, has its tokens
             # checked: every stored count is at least 1.
             if len(tokens) == 1:
-                count = tables[0].get(tokens[0], 0)
+                count = unigram(tokens[0], 0)
                 if not count:
                     _check_tokens(tokens, len(counts))
                 counts.append(count)
                 continue
-            key = _pack(word_id, bits, tokens)
-            if key is None:
-                _check_tokens(tokens, len(counts))
-                counts.append(0)
+            key = 0  # as _pack packs it
+            for token in tokens:
+                wid = word_id(token)
+                if wid is None:
+                    _check_tokens(tokens, len(counts))
+                    counts.append(0)
+                    break
+                key = key << bits | wid
             else:
                 counts.append(tables[len(tokens) - 1].get(key, 0))
         return counts
@@ -236,24 +240,44 @@ class NgramIndex:
     ) -> list[tuple[list[Candidate], list[int]]]:
         """Each ``(context, word)`` pair's top ``TOP_K`` vocabulary words
         by distinct shared character bigrams, the word itself left out,
-        and their counts after `context`, as ``ngram_count`` gives those
-        of ``selection_queries(context, candidate words)``.
+        and their counts after `context`: those of
+        ``selection_queries(context, candidate words)``, the orders from
+        ``len(context) + 1`` down to 1, each in candidate order.
 
         The backend-contract method the pipeline calls once per stage
         with every error; the ranking itself runs in
         :mod:`asrspell.kernels`, once per word. Order 1 is each
-        candidate's ``unigram_count``, so only the higher orders are
-        looked up.
+        candidate's ``unigram_count``. The higher orders are counted by
+        word id: each suffix of the context is packed once, and each
+        candidate's key extends it by the id the kernel ranked. A suffix
+        with a token outside the vocabulary counts 0 for every candidate.
         """
         ranked = []
         for context, word in check_pairs(pairs, self):
-            candidates, counts = self._rank(word)
+            candidates, ids, counts = self._rank(word)
             if context and candidates:
-                words = [c.word for c in candidates]
-                counts = self.ngram_count(
-                    selection_queries(context, words)[:-len(words)]) + counts
+                counts = self._counts_after(context, ids) + counts
             ranked.append((candidates, counts))
         return ranked
+
+    def _counts_after(self, context: tuple[str, ...], ids: list[int]
+                      ) -> list[int]:
+        """The counts of the words `ids` after each suffix of `context`,
+        the longest suffix first, each in the order of `ids`."""
+        tables, word_id, bits = self._tables, self._word_id, self._bits
+        rows = []
+        base = shift = 0
+        # The suffix of k - 1 tokens is the context of the k-grams.
+        for k, token in enumerate(reversed(context), start=2):
+            wid = word_id.get(token)
+            if wid is None:  # this suffix and every longer one count 0
+                break
+            base |= wid << shift
+            shift += bits
+            prefix, count = base << bits, tables[k - 1].get
+            rows.append([count(prefix | i, 0) for i in ids])
+        zeros = [0] * (len(ids) * (len(context) - len(rows)))
+        return zeros + [c for row in reversed(rows) for c in row]
 
     def words_sharing_bigrams(self, word: str, min_shared: int
                               ) -> list[str]:
@@ -280,16 +304,18 @@ class NgramIndex:
         postings = self._postings
         return [postings[g] for g in char_bigrams(word) if g in postings]
 
-    def _rank(self, word: str) -> tuple[list[Candidate], list[int]]:
-        """The candidates of `word` and their corpus counts."""
+    def _rank(self, word: str
+              ) -> tuple[list[Candidate], list[int], list[int]]:
+        """The candidates of `word`, their word ids and their corpus
+        counts."""
         arrays = self._postings_of(word)
         if not arrays:
-            return [], []
+            return [], [], []
         ids, shared, uni = kernels.rank_shared_candidates(
             arrays, self._uni_counts, self._word_id.get(word, -1), TOP_K)
         words = self._words
         return [Candidate(words[wid], s, c)
-                for wid, s, c in zip(ids, shared, uni)], uni
+                for wid, s, c in zip(ids, shared, uni)], ids, uni
 
 
 class BatchItemError(ValueError):

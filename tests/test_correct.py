@@ -283,10 +283,11 @@ class TestLookupCalls:
         # vocabulary words alike, so that contexts hold words outside the
         # vocabulary, plus words that share no bigram with any word and
         # empty contexts. Each ranking and its counts equal the ranking
-        # alone, then the counts of its selection queries, locally and
-        # over HTTP.
+        # alone, then the counts of its selection queries in a brute-force
+        # count of the corpus lines, locally and over HTTP.
         _, texts = synth_texts
         index = build_index(synth_select_corpus, max_order=max_order)
+        reference = Oracle(synth_select_corpus.splitlines(), max_order).counts
         window = max_order - 1
         pairs = []
         for text in texts:
@@ -300,8 +301,10 @@ class TestLookupCalls:
         for context, word in pairs:
             candidates = generate_candidates(word, index)
             words = words_of(candidates)
-            expected.append((candidates, index.ngram_count(
-                selection_queries(context, words)) if words else []))
+            expected.append((candidates, [
+                reference[(*context[len(context) - order + 1:], candidate)]
+                for order in range(len(context) + 1, 0, -1)
+                for candidate in words]))
         assert index.rank_by_shared_bigrams(pairs) == expected
         assert any(not candidates for candidates, _ in expected)
         assert sum(not index.unigram_exists(token)

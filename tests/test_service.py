@@ -24,13 +24,15 @@ import pytest
 
 from asrspell import (BackendError, Candidate, PipelineConfig,
                       RemoteBackend, build_index, correct_transcript,
-                      generate_candidates, serve)
+                      generate_candidates, load_index, save_index, serve)
 from asrspell import service
 from asrspell.candidates import (char_bigrams, selection_queries,
                                  shared_bigram_count)
 from asrspell.service import MAX_BATCH_BYTES, POSTINGS_CAP
 from tests._synth import large_vocabulary
 from tests.conftest import WORKED_ERROR_TEXT
+from tests.test_oracle import Oracle
+from tests.test_store import boundary_corpus, load_from_tsv
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +174,29 @@ class TestRemoteBackend:
         with pytest.raises(ValueError, match="not the string"):
             remote.ngram_count(queries)
 
+    @pytest.mark.parametrize("bad", [
+        "shows", ("shows",) * 6, (), ("",), ("favorite", "two words"),
+        ("line\nend",), ("your", 5), ("\xa0",), ("your", "no\x85break"),
+        ("shows", None), 5])
+    def test_bad_query_named_as_locally(self, remote, worked_index, bad,
+                                        monkeypatch):
+        """The whole batch is checked at once. A bad query has the
+        position and message that the local index gives it, whatever
+        else is bad after it, and nothing is sent."""
+        queries = [("shows",), ("your", "favorite"), ("shows",), bad,
+                   ("favorite", ""), "more", ("shows",)]
+        assert remote.max_order == worked_index.max_order
+        sent = record_requests(remote, monkeypatch)
+        raised = []
+        for backend in (worked_index, remote):
+            with pytest.raises((ValueError, TypeError)) as info:
+                backend.ngram_count(queries)
+            raised.append((type(info.value), str(info.value),
+                           getattr(info.value, "position", None)))
+        assert raised[0] == raised[1]
+        assert raised[0][2] == (None if bad == 5 else 3)
+        assert sent == []
+
     @pytest.mark.parametrize("token", ["", "two words", "line\nend"])
     def test_token_that_breaks_the_line_format_rejected(self, remote,
                                                         worked_index,
@@ -258,8 +283,9 @@ class _Server:
             return conn
 
         self._srv.get_request = get_request
+        # A short poll interval, so that stop() returns soon.
         self._thread = threading.Thread(target=self._srv.serve_forever,
-                                        daemon=True)
+                                        args=(0.05,), daemon=True)
         self._thread.start()
 
     @property
@@ -1076,6 +1102,58 @@ def test_words_of_256_bigrams_and_more_rank_as_brute_force():
         srv.stop()
 
 
+@pytest.mark.parametrize("vocab_size", [2, 4, 8, 16, 4097])
+def test_context_counts_by_word_id_equal_brute_force(vocab_size, tmp_path):
+    """The counts after each context, which the ranking takes by word id,
+    equal a brute-force count of the corpus lines at ids of 1 to 4 bits
+    and of 13, where a 5-gram key is wider than 63 bits. Contexts hold a
+    token outside the vocabulary first, in the middle and last. The
+    index is built, loaded from its sidecars and loaded from its TSVs
+    alone, and answers locally and over HTTP."""
+    lines = boundary_corpus(vocab_size)
+    oracle = Oracle(lines, 5)
+    built = build_index(lines)
+    assert built._bits == max(1, (vocab_size - 1).bit_length())
+    save_index(built, tmp_path / "idx")
+    indexes = [built, load_index(tmp_path / "idx"),
+               load_from_tsv(tmp_path / "idx", tmp_path)]
+    # Each token of a few lines after the tokens before it, as itself
+    # (left out of its own ranking) and as a word outside the vocabulary.
+    pairs = []
+    for line in lines[1:12]:
+        tokens = line.split()
+        pairs += [(tuple(tokens[max(0, i - 4):i]), word)
+                  for i in range(len(tokens))
+                  for word in (tokens[i], tokens[i] + "x")]
+    full = [(context, word) for context, word in pairs if len(context) == 4]
+    pairs += [((*context[:at], "zz", *context[at + 1:]), word)
+              for at in (0, 1, 3) for context, word in full[:6]]
+    pairs += [(("zz",), word) for _, word in full[:2]]
+    expected = []
+    for context, word in pairs:
+        ranked = [Candidate(*c) for c in oracle.candidates(word, 8)]
+        expected.append((ranked, [
+            oracle.counts[(*context[len(context) - order + 1:], c.word)]
+            for order in range(len(context) + 1, 0, -1) for c in ranked]))
+    # Whole contexts are attested; a token outside the vocabulary first
+    # leaves the lower orders attested.
+    assert any(counts[:len(ranked)] != [0] * len(ranked)
+               for (context, _), (ranked, counts) in zip(pairs, expected)
+               if len(context) == 4 and "zz" not in context)
+    assert any(counts[len(ranked):2 * len(ranked)] != [0] * len(ranked)
+               for (context, _), (ranked, counts) in zip(pairs, expected)
+               if context[:1] == ("zz",) and len(context) == 4)
+    for index in indexes:
+        assert index.rank_by_shared_bigrams(pairs) == expected
+        srv = _Server(index)
+        remote = RemoteBackend(srv.url)
+        try:
+            assert remote.rank_by_shared_bigrams(pairs) == expected
+        finally:
+            remote.close()
+            srv.stop()
+
+
 @pytest.mark.parametrize("realword", [False, True])
 def test_long_transcript_byte_identical(realword):
     """A 10k-token transcript whose non-word batch alone is larger than
@@ -1109,24 +1187,31 @@ def test_long_transcript_byte_identical(realword):
 
 def test_query_checks_hold_under_python_O():
     """Both ngram_count implementations test a query's shape inline and
-    must reject the same queries when assert statements are stripped."""
+    must reject the same queries when assert statements are stripped. A
+    str subclass is a str: as a query it is rejected, as a token it
+    counts."""
     code = """if True:
         import threading
         from asrspell import RemoteBackend, build_index, serve
+        class Str(str):
+            pass
         index = build_index(["your favorite shows"], max_order=3)
         srv = serve(index, port=0)
         threading.Thread(target=srv.serve_forever, daemon=True).start()
         remote = RemoteBackend(f"http://127.0.0.1:{srv.server_address[1]}")
-        queries = {"string": "shows", "order 0": (),
-                   "order 4": ("your",) * 4, "space": ("your favorite",),
-                   "line end": ("shows\\n",), "empty": ("your", ""),
-                   "number": (5,)}
+        queries = {"string": "shows", "str subclass": Str("shows"),
+                   "order 0": (), "order 4": ("your",) * 4,
+                   "space": ("your favorite",), "line end": ("shows\\n",),
+                   "empty": ("your", ""), "number": (5,),
+                   "bytes": ("your", b"favorite")}
         for backend in (index, remote):
             for name, query in queries.items():
                 try:
                     backend.ngram_count([("shows",), query])
                 except ValueError as exc:
                     print(f"{type(backend).__name__} {name}: {exc}")
+            print(f"{type(backend).__name__} counts:", backend.ngram_count(
+                [(Str("shows"),), (Str("your"), Str("favorite"))]))
         srv.shutdown()
     """
     src = Path(__file__).resolve().parent.parent / "src"
@@ -1139,6 +1224,8 @@ def test_query_checks_hold_under_python_O():
         for line in (
             "string: a query is a sequence of tokens, not the string "
             "'shows'",
+            "str subclass: a query is a sequence of tokens, not the string "
+            "'shows'",
             "order 0: query order 0 outside 1..3",
             "order 4: query order 4 outside 1..3",
             "space: tokens must be non-empty strings and hold no "
@@ -1148,7 +1235,10 @@ def test_query_checks_hold_under_python_O():
             "empty: tokens must be non-empty strings and hold no "
             "whitespace: ''",
             "number: tokens must be non-empty strings and hold no "
-            "whitespace: 5")]
+            "whitespace: 5",
+            "bytes: tokens must be non-empty strings and hold no "
+            "whitespace: b'favorite'",
+            "counts: [1, 1]")]
 
 
 def test_rank_checks_hold_under_python_O():

@@ -249,18 +249,40 @@ class TestLookups:
             tiny_index.ngram_count([("the",), ("cat", "sat"), query])
         assert info.value.position == 2
 
-    def test_context_counts_equal_the_two_step_reference(self, worked_index):
+    def test_context_counts_equal_the_two_step_reference(
+            self, worked_index, worked_corpus_lines):
         contexts = [(), ("favorite",), ("your", "favorite"),
                     ("episodes", "of", "your", "favorite"),
                     ("zebra", "of"), ("of", "zebra")]
         words = ["shaws", "hwas", "q", "zqx", "shows"]
         pairs = [(c, w) for c in contexts for w in words]
+        tables = recount(worked_corpus_lines)
         got = worked_index.rank_by_shared_bigrams(pairs)
         for (context, word), (candidates, counts) in zip(pairs, got,
                                                          strict=True):
             assert candidates == generate_candidates(word, worked_index)
-            assert counts == (worked_index.ngram_count(selection_queries(
-                context, [c.word for c in candidates])) if candidates else [])
+            assert counts == ([
+                tables[len(query) - 1][" ".join(query)]
+                for query in selection_queries(
+                    context, [c.word for c in candidates])]
+                if candidates else [])
+
+    def test_ranking_never_calls_ngram_count(self, worked_index,
+                                             monkeypatch):
+        """The counts after each context are looked up by word id, not
+        through ngram_count."""
+        pairs = [(("episodes", "of", "your", "favorite"), "shaws"),
+                 (("zebra", "your", "favorite"), "shaws"),
+                 (("your", "zebra"), "hwas"), (("favorite",), "q"),
+                 ((), "shaws")]
+        expected = worked_index.rank_by_shared_bigrams(pairs)
+        assert expected[0][1][:8] != [0] * 8  # order 5 is attested
+
+        def fail(self, queries):
+            raise AssertionError(f"ngram_count({queries!r}) called")
+
+        monkeypatch.setattr(store.NgramIndex, "ngram_count", fail)
+        assert worked_index.rank_by_shared_bigrams(pairs) == expected
 
     @pytest.mark.parametrize("pair,message", [
         (("a b c d e".split(), "shaws"), "context of 5 tokens exceeds "
