@@ -33,9 +33,6 @@ class Candidate:
     shared: int          # distinct character bigrams shared with the error
     unigram_count: int   # corpus occurrences of the word
 
-    def sort_key(self):
-        return (-self.shared, -self.unigram_count, self.word)
-
 
 def generate_candidates(error: str, backend) -> list[Candidate]:
     """The top ``TOP_K`` correction candidates for `error`, ranked by

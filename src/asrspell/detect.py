@@ -12,11 +12,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
+from typing import Sequence
 
 # generate_candidates is not called here; it stays importable from this
 # module for the callers that look it up by this name.
 from asrspell.candidates import generate_candidates  # noqa: F401
-from asrspell.store import normalize_token
+from asrspell.store import normalize_token, plain_tokens
 
 
 # The chunks str.split() gives: \s matches exactly the str.isspace()
@@ -54,9 +55,27 @@ def tokenize(text: str) -> Transcript:
     The span covers the chunk minus its leading/trailing punctuation, so a
     later replacement preserves surrounding punctuation. Chunks that
     normalize to nothing produce no token.
+
+    ASCII text whose every chunk is alphanumeric takes a whole-string
+    path with the same tokens and spans: the tokens come from one
+    ``lower().split()``, and each span is its chunk.
     """
-    tokens: list[str] = []
-    spans: list[tuple[int, int]] = []
+    tokens = plain_tokens(text)
+    if tokens is not None:
+        if len(text) + 1 == sum(map(len, tokens)) + len(tokens):
+            # One character between chunks and none around them: each
+            # chunk starts one past the end of the one before.
+            spans = []
+            start = 0
+            for token in tokens:
+                stop = start + len(token)
+                spans.append((start, stop))
+                start = stop + 1
+        else:
+            spans = [chunk.span() for chunk in _CHUNK.finditer(text)]
+        return Transcript(raw=text, tokens=tokens, spans=spans)
+    tokens = []
+    spans = []
     for chunk in _CHUNK.finditer(text):
         start, stop = chunk.span()
         if not chunk.group().isalnum():
@@ -99,18 +118,25 @@ def _exempt(token: str) -> bool:
     return not token.isalpha() and any(c.isdigit() for c in token)
 
 
+def _checked_positions(tokens: list[str]) -> Sequence[int]:
+    """The positions of the tokens that are not `_exempt`, in order."""
+    if "".join(tokens).isalpha():
+        return range(len(tokens))  # no token holds a digit
+    return [i for i, token in enumerate(tokens) if not _exempt(token)]
+
+
 def detect_nonword_errors(transcript: Transcript, backend) -> list[DetectedError]:
     """One NonWord error per out-of-vocabulary token, in position order.
 
     The unigram counts of all checked tokens come from one backend call.
     """
-    checked = [(i, token) for i, token in enumerate(transcript.tokens)
-               if not _exempt(token)]
+    tokens = transcript.tokens
+    checked = _checked_positions(tokens)
     if not checked:
         return []
-    counts = backend.ngram_count([(token,) for _, token in checked])
-    return [DetectedError(i, token, ErrorKind.NONWORD)
-            for (i, token), count in zip(checked, counts, strict=True)
+    counts = backend.ngram_count([(tokens[i],) for i in checked])
+    return [DetectedError(i, tokens[i], ErrorKind.NONWORD)
+            for i, count in zip(checked, counts, strict=True)
             if count == 0]
 
 
@@ -141,8 +167,9 @@ def detect_realword_suspects(transcript: Transcript, backend,
     if not margin >= 1:  # NaN too
         raise ValueError(f"margin must be >= 1, got {margin}")
     window = backend.max_order - 1
-    checked = [(i, prefix, token) for i, token in enumerate(transcript.tokens)
-               if len(token) >= 2 and not _exempt(token)
+    tokens = transcript.tokens
+    checked = [(i, prefix, token) for i in _checked_positions(tokens)
+               if len(token := tokens[i]) >= 2
                and (prefix := transcript.context(i, window))]
     # Per token: its unigram, its own query and its prefix; the counts are
     # read back in that order.

@@ -93,6 +93,21 @@ def normalize_token(raw: str) -> str | None:
     return s
 
 
+def plain_tokens(text: str) -> list[str] | None:
+    """The tokens of `text` when it is ASCII and every whitespace chunk of
+    it is alphanumeric, else None.
+
+    Such a chunk has nothing to strip, so its token is the chunk
+    lower-cased, and lower-casing ASCII keeps every character's place:
+    the tokens are ``text.lower().split()``, one whole-string pass each.
+    """
+    if text.isascii():
+        tokens = text.lower().split()
+        if "".join(tokens).isalnum():
+            return tokens
+    return None
+
+
 @dataclass
 class IndexManifest:
     corpus_id: str
@@ -450,6 +465,9 @@ def _pack_ids(ids: np.ndarray, bits: int) -> np.ndarray:
 
 def tokenize_line(line: str) -> list[str]:
     """Tokens of one corpus line, in order, normalization applied."""
+    tokens = plain_tokens(line)
+    if tokens is not None:
+        return tokens
     out = []
     for chunk in line.split():
         token = normalize_token(chunk)

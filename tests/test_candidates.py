@@ -58,7 +58,7 @@ def brute_force_candidates(error, index, k):
         if shared >= 1:
             scored.append(Candidate(word=word, shared=shared,
                                     unigram_count=index.ngram_count([[word]])[0]))
-    scored.sort(key=Candidate.sort_key)
+    scored.sort(key=lambda c: (-c.shared, -c.unigram_count, c.word))
     return scored[:k]
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import string
 import sys
 from collections import Counter
 
@@ -10,6 +11,7 @@ from asrspell import (BackendError, CorruptionSpec, DetectedError, ErrorKind,
                       detect_realword_suspects, generate_candidates,
                       inject_errors, normalize_token, tokenize)
 from asrspell.detect import _exempt
+from asrspell.store import tokenize_line
 from tests._synth import passage_of, synth_corpus
 from tests.conftest import WORKED_ERROR_TEXT, WORKED_SENTENCE
 from tests.test_service import _Server
@@ -46,22 +48,100 @@ class TestTokenize:
         assert tokenize("... --- !!!").tokens == []
 
     def test_matches_character_scan(self):
-        rng = random.Random(17)
-        alphabet = (" \t\n.,'-!Ab9\u00e9\u0130\u00b2\u0663\u00a0\u2028"
-                    "\u3000\x1c\x85\ufeff\U0001d400")
-        texts = ["".join(rng.choice(alphabet)
-                         for _ in range(rng.randint(0, 40)))
-                 for _ in range(3000)]
-        texts += ["".join(chr(rng.randrange(sys.maxunicode + 1))
-                          for _ in range(rng.randint(0, 20)))
-                  for _ in range(2000)]
-        spaces = [chr(c) for c in range(sys.maxunicode + 1)
-                  if chr(c).isspace()]
-        texts += [f"a{c}b.{c},{c}" for c in spaces]
-        texts.append(" ".join(spaces) + "x" + "".join(spaces))
-        for text in texts:
+        for text in unicode_texts(random.Random(17)):
             got = tokenize(text)
             assert (got.tokens, got.spans) == _scan_tokenize(text), text
+
+    def test_ascii_matches_character_scan(self):
+        paths = Counter()
+        for text in ascii_texts(random.Random(19)):
+            got = tokenize(text)
+            assert (got.tokens, got.spans) == _scan_tokenize(text), text
+            paths[_path(text)] += 1
+        # Every path runs, each on many texts.
+        assert min(paths.values()) > 500 and len(paths) == 3, paths
+
+    @pytest.mark.parametrize("text,path,tokens,spans", [
+        ("Watch 3rd EPISODES", "single",
+         ["watch", "3rd", "episodes"], [(0, 5), (6, 9), (10, 18)]),
+        ("Watch  3rd\tEPISODES\n", "spaced",
+         ["watch", "3rd", "episodes"], [(0, 5), (7, 10), (11, 19)]),
+        ("Watch, 3rd episodes", "scan",
+         ["watch", "3rd", "episodes"], [(0, 5), (7, 10), (11, 19)]),
+        ("Watch 3rd \u00e9pisodes", "scan",
+         ["watch", "3rd", "\u00e9pisodes"], [(0, 5), (6, 9), (10, 18)]),
+    ])
+    def test_each_path(self, text, path, tokens, spans):
+        assert _path(text) == path
+        got = tokenize(text)
+        assert (got.tokens, got.spans) == (tokens, spans)
+        assert (tokens, spans) == _scan_tokenize(text)
+
+    def test_corpus_lines_tokenize_alike(self):
+        # The index's vocabulary and the detector's tokens cannot drift
+        # apart.
+        for rng, texts in [(random.Random(23), ascii_texts),
+                           (random.Random(29), unicode_texts)]:
+            for text in texts(rng):
+                assert tokenize_line(text) == tokenize(text).tokens, text
+
+
+# Every character str.split() splits ASCII text at.
+ASCII_SPACES = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def ascii_texts(rng, count=3000):
+    """ASCII texts of chunks of letters of both cases and digits, a
+    quarter of them also with `'-.,!`. Half part the chunks by single
+    spaces, half by runs of one to three ASCII whitespace characters,
+    with and without a run before and after them."""
+    alnum = string.ascii_letters + string.digits
+    texts = []
+    for _ in range(count):
+        chunks = ["".join(rng.choices(
+                      alnum + ("'-.,!" if rng.random() < 0.25 else ""),
+                      k=rng.randint(1, 8)))
+                  for _ in range(rng.randint(0, 12))]
+        if rng.random() < 0.5:
+            texts.append(" ".join(chunks))
+            continue
+        runs = ["".join(rng.choices(ASCII_SPACES, k=rng.randint(1, 3)))
+                for _ in range(len(chunks) + 1)]
+        lead = runs[0] if rng.random() < 0.5 else ""
+        trail = runs[-1] if rng.random() < 0.5 else ""
+        texts.append(lead + "".join(chunk + run for chunk, run
+                                    in zip(chunks, runs[1:-1] + [trail])))
+    return texts
+
+
+def unicode_texts(rng):
+    """Texts over letters, digits, punctuation and whitespace in and out
+    of ASCII; random code points; every whitespace character."""
+    alphabet = (" \t\n.,'-!Ab9\u00e9\u0130\u00b2\u0663\u00a0\u2028"
+                "\u3000\x1c\x85\ufeff\U0001d400")
+    texts = ["".join(rng.choice(alphabet)
+                     for _ in range(rng.randint(0, 40)))
+             for _ in range(3000)]
+    texts += ["".join(chr(rng.randrange(sys.maxunicode + 1))
+                      for _ in range(rng.randint(0, 20)))
+              for _ in range(2000)]
+    spaces = [chr(c) for c in range(sys.maxunicode + 1)
+              if chr(c).isspace()]
+    texts += [f"a{c}b.{c},{c}" for c in spaces]
+    texts.append(" ".join(spaces) + "x" + "".join(spaces))
+    return texts
+
+
+def _path(text):
+    """Which way tokenize() reads `text`: the whole-string path with
+    spans by arithmetic ("single") or from the chunk matches ("spaced"),
+    or the per-chunk scan ("scan")."""
+    chunks = text.split()
+    if not (text.isascii() and "".join(chunks).isalnum()):
+        return "scan"
+    # One whitespace character between chunks and none around them?
+    single = len(text) == len("".join(chunks)) + len(chunks) - 1
+    return "single" if single else "spaced"
 
 
 def _scan_tokenize(text):
@@ -227,17 +307,20 @@ def unpruned_realword_suspects(transcript, backend, margin):
 
 class CountingBackend:
     """Delegates to an index and counts calls per contract method, and
-    the queries of all ngram_count calls together."""
+    the queries of all ngram_count calls together; `batches` keeps each
+    call's queries."""
 
     def __init__(self, inner):
         self._inner = inner
         self.calls = Counter()
         self.queries = 0
+        self.batches = []
 
     def ngram_count(self, queries):
         queries = list(queries)
         self.calls["ngram_count"] += 1
         self.queries += len(queries)
+        self.batches.append(queries)
         return self._inner.ngram_count(queries)
 
     @property
@@ -251,6 +334,69 @@ class CountingBackend:
             self.calls[name] += 1
             return method(*args, **kwargs)
         return counted
+
+
+# Tokens _exempt skips: ASCII and other digits, with letters and alone.
+DIGIT_TOKENS = ["42", "3rd", "x\u00b2", "a\u0663b", "\U0001d7d9", "\u0663"]
+# Tokens it keeps, letters alone or with an apostrophe or hyphen.
+WORD_TOKENS = ["watch", "episodes", "of", "your", "favorite", "shows",
+               "shawls", "shaws", "and", "more", "qqz", "don't",
+               "well-known", "caf\u00e9", "a"]
+
+
+class TestExemption:
+    """Both detectors check exactly the tokens a per-token `_exempt`
+    filter keeps, whether the transcript holds a digit or not."""
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        # The digit tokens are in the vocabulary, so only the exemption
+        # keeps them from being checked.
+        return build_index(REALWORD_LINES + [
+            "watch " + " ".join(DIGIT_TOKENS + WORD_TOKENS[:6])] * 3)
+
+    def transcripts(self):
+        rng = random.Random(31)
+        for n in range(400):
+            pool = WORD_TOKENS + (DIGIT_TOKENS if n % 2 else [])
+            yield tokenize(" ".join(rng.choices(pool,
+                                                k=rng.randint(0, 16))))
+
+    def test_nonword_checks_what_the_filter_keeps(self, index):
+        letters_only = 0
+        for transcript in self.transcripts():
+            tokens = transcript.tokens
+            kept = [i for i, token in enumerate(tokens)
+                    if not _exempt(token)]
+            backend = CountingBackend(index)
+            got = detect_nonword_errors(transcript, backend)
+            assert [e.position for e in got] == [
+                i for i in kept if not index.unigram_exists(tokens[i])]
+            assert backend.batches == (
+                [[(tokens[i],) for i in kept]] if kept else [])
+            letters_only += "".join(tokens).isalpha()
+        # Both screenings run, each on many transcripts.
+        assert 50 <= letters_only <= 350
+
+    @pytest.mark.parametrize("margin", [1, 10])
+    def test_realword_checks_what_the_filter_keeps(self, index, margin):
+        flagged = 0
+        for transcript in self.transcripts():
+            tokens = transcript.tokens
+            backend = CountingBackend(index)
+            got = detect_realword_suspects(transcript, backend,
+                                           margin=margin)
+            assert got == unpruned_realword_suspects(transcript, index,
+                                                     margin)
+            # The first call reads each checked token's unigram, own and
+            # context counts.
+            checked = [query[-1] for query in
+                       (backend.batches[0][::3] if backend.batches else [])]
+            assert checked == [token for i, token in enumerate(tokens)
+                               if i and len(token) >= 2
+                               and not _exempt(token)]
+            flagged += len(got)
+        assert flagged > 0
 
 
 @pytest.fixture(scope="module")

@@ -1080,7 +1080,7 @@ def test_words_of_256_bigrams_and_more_rank_as_brute_force():
         ranked = [Candidate(w, shared_bigram_count(word, w), n)
                   for w, n in counts.items() if w != word]
         return sorted((c for c in ranked if c.shared),
-                      key=Candidate.sort_key)[:8]
+                      key=lambda c: (-c.shared, -c.unigram_count, c.word))[:8]
 
     # Each word after a context of vocabulary words, and after none.
     context = tuple(tokens[:4])
