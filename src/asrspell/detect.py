@@ -56,23 +56,22 @@ def tokenize(text: str) -> Transcript:
     later replacement preserves surrounding punctuation. Chunks that
     normalize to nothing produce no token.
 
-    ASCII text whose every chunk is alphanumeric takes a whole-string
-    path with the same tokens and spans: the tokens come from one
-    ``lower().split()``, and each span is its chunk.
+    ASCII text of alphanumeric chunks parted by single whitespace
+    characters takes a whole-string path with the same tokens and spans:
+    the tokens come from one ``lower().split()``, and each span is its
+    chunk.
     """
     tokens = plain_tokens(text)
-    if tokens is not None:
-        if len(text) + 1 == sum(map(len, tokens)) + len(tokens):
-            # One character between chunks and none around them: each
-            # chunk starts one past the end of the one before.
-            spans = []
-            start = 0
-            for token in tokens:
-                stop = start + len(token)
-                spans.append((start, stop))
-                start = stop + 1
-        else:
-            spans = [chunk.span() for chunk in _CHUNK.finditer(text)]
+    if (tokens is not None
+            and len(text) + 1 == sum(map(len, tokens)) + len(tokens)):
+        # One character between chunks and none around them: each chunk
+        # starts one past the end of the one before.
+        spans = []
+        start = 0
+        for token in tokens:
+            stop = start + len(token)
+            spans.append((start, stop))
+            start = stop + 1
         return Transcript(raw=text, tokens=tokens, spans=spans)
     tokens = []
     spans = []
